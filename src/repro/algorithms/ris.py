@@ -58,8 +58,7 @@ class RISEstimator(InfluenceEstimator):
         self._executor = executor
         from ..diffusion.bitparallel import resolve_batch_mode
 
-        # Resolved eagerly so a REPRO_BITPARALLEL change between construction
-        # and build cannot split one estimator across two draw contracts.
+        # Resolved eagerly so a bad value fails at construction, not in build.
         self._batch_mode = resolve_batch_mode(batch_mode)
 
     @property

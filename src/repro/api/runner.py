@@ -84,9 +84,8 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
     tel = as_telemetry(context.telemetry)
     estimator = estimator_factory(
         spec.estimator.approach,
-        jobs=context.jobs,
-        executor=context.executor,
         model=diffusion,
+        context=context,
         # The estimator spec's own batch_mode wins over the context's.
         batch_mode=spec.estimator.batch_mode or context.batch_mode,
     )(spec.estimator.num_samples)
@@ -99,8 +98,6 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
         pool_size=spec.pool_size,
         seed=context.seed + 1,
         model=diffusion,
-        jobs=context.jobs,
-        executor=context.executor,
         context=context,
     )
     with tel.span("oracle.score"):
@@ -118,8 +115,6 @@ def _run_trials(spec: TrialsSpec) -> TrialsResult:
         pool_size=spec.pool_size,
         seed=context.seed + 1,
         model=diffusion,
-        jobs=context.jobs,
-        executor=context.executor,
         context=context,
     )
     trial_set = run_trials(
@@ -133,11 +128,8 @@ def _run_trials(spec: TrialsSpec) -> TrialsResult:
         spec.estimator.num_samples,
         spec.num_trials,
         oracle=oracle,
-        experiment_seed=context.seed,
         model=diffusion,
-        jobs=context.jobs,
-        executor=context.executor,
-        telemetry=context.telemetry,
+        context=context,
     )
     return TrialsResult(spec=spec, graph_name=graph.name, trial_set=trial_set)
 
@@ -150,8 +142,6 @@ def _run_sweep(spec: SweepSpec) -> SweepResult:
         pool_size=spec.pool_size,
         seed=context.seed + 1,
         model=diffusion,
-        jobs=context.jobs,
-        executor=context.executor,
         context=context,
     )
     # Parallelism is applied at the trial level (the coarsest grain); the
@@ -163,11 +153,8 @@ def _run_sweep(spec: SweepSpec) -> SweepResult:
         spec.grid(),
         num_trials=spec.num_trials,
         oracle=oracle,
-        experiment_seed=context.seed,
         model=diffusion,
-        jobs=context.jobs,
-        executor=context.executor,
-        telemetry=context.telemetry,
+        context=context,
     )
     return SweepResult(spec=spec, graph_name=graph.name, sweep=sweep)
 
@@ -186,11 +173,8 @@ def _run_traversal(spec: TraversalSpec) -> TraversalResult:
         k=spec.k,
         num_samples=spec.num_samples,
         num_repetitions=spec.repetitions,
-        experiment_seed=context.seed,
         model=diffusion,
-        jobs=context.jobs,
-        executor=context.executor,
-        telemetry=context.telemetry,
+        context=context,
     )
     return TraversalResult(spec=spec, graph_name=graph.name, rows=tuple(rows))
 

@@ -24,7 +24,9 @@ scalar stream — see ``docs/DESIGN.md``):
   size=lanes)`` call — and then its live words as above;
 * with a single ``rng``, words are consumed sequentially from its stream;
   under the runtime's split-stream contract, word ``i`` draws from the child
-  stream of ``(seed, i)``, so any ``jobs`` value is bit-identical.
+  stream of ``(seed, i)``, so any ``jobs`` value is bit-identical (the
+  word is the ``lanes=64`` unit of
+  :func:`repro.runtime.engine.run_seeded_tasks`).
 
 The results are therefore deterministic given ``(seed, lane layout)`` and
 statistically exchangeable with the scalar path (same per-world live-edge
@@ -32,7 +34,8 @@ distribution), but the two paths consume the PRNG differently: scalar
 kernels flip coins lazily for *examined* edges only, while bit-parallel
 words pre-sample every edge of the graph per world.  The scalar path stays
 the default for reproduction runs; this fast path is opt-in via
-``batch_mode="bitparallel"`` or the :data:`ENV_VAR` environment variable.
+``batch_mode="bitparallel"``, which a run's spec records, so every result
+can be replayed from its own document.
 
 Portability: per-word population counts use :func:`numpy.bitwise_count`
 where available (numpy >= 2.0) and fall back to a 16-bit lookup table on the
@@ -41,8 +44,6 @@ against each other.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -66,9 +67,6 @@ BITPARALLEL = "bitparallel"
 #: Accepted ``batch_mode`` values, in precedence order of the docs.
 BATCH_MODES: tuple[str, ...] = (SCALAR, BITPARALLEL)
 
-#: Environment variable consulted when ``batch_mode`` is left unset.
-ENV_VAR = "REPRO_BITPARALLEL"
-
 #: True when this numpy ships the native ``bitwise_count`` ufunc (>= 2.0).
 HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -86,25 +84,8 @@ def require_batch_mode(value: str) -> str:
 
 
 def resolve_batch_mode(batch_mode: str | None) -> str:
-    """Normalise a ``batch_mode`` argument against the environment.
-
-    An explicit value wins; ``None`` consults :data:`ENV_VAR` (truthy values
-    ``1/true/yes/on/bitparallel`` opt into the fast path, falsy values and an
-    unset variable keep the golden scalar default).  Resolution happens at
-    the sampling seams, so flipping the environment variable switches every
-    batched entry point without touching call sites.
-    """
-    if batch_mode is not None:
-        return require_batch_mode(batch_mode)
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env in ("1", "true", "yes", "on", BITPARALLEL):
-        return BITPARALLEL
-    if env in ("", "0", "false", "no", "off", SCALAR):
-        return SCALAR
-    raise InvalidParameterError(
-        f"unrecognised {ENV_VAR} value {env!r}; expected a boolean-like value "
-        f"or one of: {', '.join(BATCH_MODES)}"
-    )
+    """Normalise a ``batch_mode`` argument; ``None`` means the scalar default."""
+    return SCALAR if batch_mode is None else require_batch_mode(batch_mode)
 
 
 # --------------------------------------------------------------------------- #
@@ -220,8 +201,8 @@ def word_spans(count: int) -> list[tuple[int, int]]:
 
     Word ``i`` covers simulation indices ``start .. start + num_lanes - 1``
     with ``start = 64 * i``; only the last word may be partial.  This is the
-    lane layout every bit-parallel driver (and the runtime's word-chunked
-    workers) uses, so it is the unit of the determinism contract.
+    lane layout every bit-parallel driver (and the runtime's 64-lane seeding
+    units) uses, so it is the unit of the determinism contract.
     """
     require_positive_int(count, "count")
     return [

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .._validation import normalize_seed_set, require_rng_or_streams
+from .._validation import normalize_seed_set
 from ..graphs.influence_graph import InfluenceGraph
 from .costs import TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
@@ -144,72 +143,52 @@ def simulate_cascades(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
     count: int,
-    rng: RandomSource | np.random.Generator | None = None,
+    rng: RandomSource | np.random.Generator,
     *,
     cost: TraversalCost | None = None,
-    streams: Sequence[RandomSource | np.random.Generator] | None = None,
     batch_mode: str | None = None,
 ) -> list[CascadeResult]:
     """Run ``count`` forward IC cascades from ``seeds`` in one batched call.
 
     Byte-identical to calling :func:`simulate_cascade` ``count`` times with
-    the same ``rng`` — the batch only amortizes per-call overhead (one seed
+    the same ``rng``.  ``batch_mode="bitparallel"`` opts into the
+    64-worlds-per-word mask kernel (own draw-order contract — see
+    :mod:`repro.diffusion.bitparallel` — and activated vertices listed in
+    ascending id, not activation order).  The IC shorthand for
+    :meth:`repro.diffusion.models.DiffusionModel.simulate_cascades`.
+    """
+    from .models import INDEPENDENT_CASCADE
+
+    return INDEPENDENT_CASCADE.simulate_cascades(
+        graph, seeds, count, rng, cost=cost, batch_mode=batch_mode
+    )
+
+
+def _simulate_cascade_units(
+    graph: InfluenceGraph,
+    seeds: tuple[int, ...] | list[int] | set[int],
+    units,
+    *,
+    cost: TraversalCost | None = None,
+) -> list[CascadeResult]:
+    """The IC batch kernel: ``n`` cascades from each ``(generator, n)`` unit.
+
+    Byte-identical to one :func:`simulate_cascade` call per cascade on the
+    same generators — the batch only amortizes per-call overhead (one seed
     normalization, one CSR unpack, reused activation/scratch buffers; the
     ``active`` mask is reset by clearing only the activated entries, so small
     cascades on large graphs never pay an O(n) refill).
-
-    Parameters
-    ----------
-    rng:
-        Single random source; all cascades draw sequentially from its stream.
-    streams:
-        Alternative to ``rng``: one independent source per cascade, in order.
-        The parallel runtime's chunk workers use this form so each simulation
-        index keeps its own child stream (the split-stream contract).
-    batch_mode:
-        ``"bitparallel"`` opts into the 64-worlds-per-word mask kernel (own
-        draw-order contract — see :mod:`repro.diffusion.bitparallel` — and
-        activated vertices listed in ascending id, not activation order);
-        ``None`` defers to the ``REPRO_BITPARALLEL`` environment variable.
     """
-    from . import bitparallel as _bp
-
-    if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-        if streams is not None:
-            from ..exceptions import InvalidParameterError
-
-            raise InvalidParameterError(
-                "streams is incompatible with batch_mode='bitparallel': the "
-                "bit-parallel unit is the 64-world word, not the single simulation"
-            )
-        require_rng_or_streams(count, rng, None)
-        generator = rng.generator if isinstance(rng, RandomSource) else rng
-        return _bp.batched_cascade_results(
-            graph,
-            seeds,
-            count,
-            generator,
-            lambda lanes, gen: _bp.ic_live_words(graph.out_csr[2], lanes, gen),
-            cost=cost,
-        )
-    require_rng_or_streams(count, rng, streams)
     seed_tuple = normalize_seed_set(seeds, graph.num_vertices)
     out_csr = graph.out_csr
     active = np.zeros(graph.num_vertices, dtype=bool)
     slot = np.empty(graph.num_vertices, dtype=np.int64)
-    if streams is None:
-        generator = rng.generator if isinstance(rng, RandomSource) else rng
-        generators = (generator for _ in range(count))
-    else:
-        generators = (
-            source.generator if isinstance(source, RandomSource) else source
-            for source in streams
-        )
     results: list[CascadeResult] = []
-    for generator in generators:
-        result = _cascade_kernel(out_csr, seed_tuple, generator, active, slot, cost)
-        active[list(result.activated)] = False
-        results.append(result)
+    for generator, n in units:
+        for _ in range(n):
+            result = _cascade_kernel(out_csr, seed_tuple, generator, active, slot, cost)
+            active[list(result.activated)] = False
+            results.append(result)
     return results
 
 
@@ -229,23 +208,11 @@ def simulate_spread(
     ``batch_mode="bitparallel"`` the counts come straight from the mask
     kernel's popcounts, skipping per-cascade result objects entirely.
     """
-    from . import bitparallel as _bp
+    from .models import INDEPENDENT_CASCADE
 
-    if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-        generator = rng.generator if isinstance(rng, RandomSource) else rng
-        counts = _bp.batched_cascade_counts(
-            graph,
-            seeds,
-            num_simulations,
-            generator,
-            lambda lanes, gen: _bp.ic_live_words(graph.out_csr[2], lanes, gen),
-            cost=cost,
-        )
-        return float(counts.sum()) / num_simulations
-    # repro-lint: allow[CTX001] batch_mode was consumed by the dispatch above;
-    # this branch is the already-resolved sequential path.
-    results = simulate_cascades(graph, seeds, num_simulations, rng, cost=cost)
-    return sum(result.num_activated for result in results) / num_simulations
+    return INDEPENDENT_CASCADE.simulate_spread(
+        graph, seeds, num_simulations, rng, cost=cost, batch_mode=batch_mode
+    )
 
 
 def activation_probabilities(

@@ -73,10 +73,6 @@ def validate_lt_weights(graph: InfluenceGraph) -> None:
         )
 
 
-#: LT cascades share the IC result type; the alias is kept for back-compat.
-LTCascadeResult = CascadeResult
-
-
 def simulate_lt_cascade(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
@@ -236,11 +232,6 @@ def lt_reachable_set(
                 visited.add(child)
                 queue.append(child)
     return visited
-
-
-#: LT RR sets share the IC RR-set type (RRSetCollection works for both);
-#: the alias is kept for back-compat.
-LTRRSet = RRSet
 
 
 def sample_lt_rr_set(

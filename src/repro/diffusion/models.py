@@ -18,12 +18,11 @@ model-specific sampling primitives are swappable.
 
 All primitives return the *shared* result types (:class:`CascadeResult`,
 :class:`Snapshot`, :class:`RRSet`), so downstream consumers — reachability,
-``RRSetCollection``, the estimators, the oracle — are model-agnostic.  The
-plural samplers (:meth:`DiffusionModel.sample_rr_sets`,
-:meth:`DiffusionModel.sample_snapshots`) integrate with :mod:`repro.runtime`
-under the same split-stream contract as the IC-specific entry points: task
-``i`` draws from a child stream of ``(rng, i)``, so any ``jobs`` value is
-bit-identical.
+``RRSetCollection``, the estimators, the oracle — are model-agnostic.  Every
+plural sampler makes one call to
+:func:`repro.runtime.engine.run_seeded_tasks` with a module-level unit
+kernel below; the engine alone decides between the single-stream and the
+split-stream seeding contract and between one-sample and 64-lane units.
 
 Models are stateless singletons registered by name (``"ic"``, ``"lt"``);
 :func:`register_model` admits third-party models, and :func:`resolve_model`
@@ -35,10 +34,11 @@ for the architectural rationale.
 from __future__ import annotations
 
 import abc
+from functools import partial
 
 import numpy as np
 
-from .._validation import require_positive_int, require_rng_or_streams
+from .._validation import require_positive_int
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
 from . import bitparallel as _bp
@@ -52,23 +52,6 @@ from .costs import SampleSize, TraversalCost
 from .random_source import RandomSource
 from .reverse import RRSet
 from .snapshots import Snapshot
-
-
-def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generator:
-    """Normalise a random source to its underlying generator."""
-    return rng.generator if isinstance(rng, RandomSource) else rng
-
-
-def _record_bitparallel(telemetry, count: int) -> None:
-    """Record the deterministic bit-parallel counters for ``count`` lanes.
-
-    Incremented at the dispatch seam — before any serial-vs-chunked split —
-    so ``bitparallel.words`` / ``bitparallel.lanes_used`` are identical for
-    every ``jobs`` value, per the deterministic-counter naming convention.
-    """
-    if telemetry is not None and telemetry.enabled:
-        telemetry.incr("bitparallel.words", len(_bp.word_spans(count)))
-        telemetry.incr("bitparallel.lanes_used", count)
 
 
 class DiffusionModel(abc.ABC):
@@ -160,65 +143,65 @@ class DiffusionModel(abc.ABC):
             f"diffusion model {self.name!r} does not support batch_mode='bitparallel'"
         )
 
-    def _require_bitparallel_rng(self, count, rng, streams):
-        """Shared guard for the bit-parallel plural paths.
+    # ------------------------------------------------------------------ #
+    # scalar batch hooks: ``n`` samples from each ``(generator, n)`` unit
+    # ------------------------------------------------------------------ #
+    def simulate_cascade_units(
+        self, graph: InfluenceGraph, seeds, units, *, cost: TraversalCost | None = None
+    ) -> list[CascadeResult]:
+        """Scalar forward cascades, ``n`` drawn in order from each unit's generator.
 
-        The bit-parallel unit of work is the 64-world word, so per-simulation
-        ``streams`` cannot apply; a single ``rng`` is required.
+        The unit kernels call this hook; models with a scratch-reusing batch
+        kernel (IC) override it without changing a single draw.
         """
-        if streams is not None:
-            raise InvalidParameterError(
-                "streams is incompatible with batch_mode='bitparallel': the "
-                "bit-parallel unit is the 64-world word, not the single "
-                "simulation (use jobs/executor for parallel word chunks)"
-            )
-        require_rng_or_streams(count, rng, None)
+        return [
+            self.simulate_cascade(graph, seeds, generator, cost=cost)
+            for generator, n in units
+            for _ in range(n)
+        ]
+
+    def sample_rr_set_units(
+        self,
+        graph: InfluenceGraph,
+        units,
+        *,
+        cost: TraversalCost | None = None,
+        sample_size: SampleSize | None = None,
+    ) -> list[RRSet]:
+        """Scalar RR sets, ``n`` drawn in order from each unit's generator.
+
+        Same hook contract as :meth:`simulate_cascade_units`.
+        """
+        return [
+            self.sample_rr_set(graph, generator, cost=cost, sample_size=sample_size)
+            for generator, n in units
+            for _ in range(n)
+        ]
 
     # ------------------------------------------------------------------ #
-    # plural conveniences (shared implementations, runtime-integrated)
+    # plural samplers: one seeded dispatch each
     # ------------------------------------------------------------------ #
     def simulate_cascades(
         self,
         graph: InfluenceGraph,
         seeds,
         count: int,
-        rng: RandomSource | np.random.Generator | None = None,
+        rng: RandomSource | np.random.Generator,
         *,
         cost: TraversalCost | None = None,
-        streams=None,
         batch_mode: str | None = None,
     ) -> list[CascadeResult]:
-        """Run ``count`` forward cascades in one batched call.
+        """Run ``count`` forward cascades, all drawn sequentially from ``rng``.
 
-        Pass either ``rng`` (all cascades draw sequentially from one stream —
-        byte-identical to ``count`` :meth:`simulate_cascade` calls) or
-        ``streams`` (one independent source per cascade, the form the
-        parallel runtime's chunk workers use).  The default implementation
-        loops; models with a batched kernel (IC) override it to amortize
-        per-call overhead without changing a single draw.
-
-        ``batch_mode="bitparallel"`` (or the ``REPRO_BITPARALLEL``
-        environment variable with the default ``None``) opts into the
+        Byte-identical to ``count`` :meth:`simulate_cascade` calls on the
+        same stream.  ``batch_mode="bitparallel"`` opts into the
         64-worlds-per-word kernel: same cascade distribution and costs,
-        different draw-order contract (see
-        :mod:`repro.diffusion.bitparallel`), results listing activated
-        vertices in ascending id rather than activation order.
+        different draw-order contract (see :mod:`repro.diffusion.bitparallel`),
+        results listing activated vertices in ascending id rather than
+        activation order.
         """
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-            self._require_bitparallel_rng(count, rng, streams)
-            return _bp.batched_cascade_results(
-                graph,
-                seeds,
-                count,
-                _as_generator(rng),
-                lambda lanes, generator: self.forward_live_words(graph, lanes, generator),
-                cost=cost,
-            )
-        require_rng_or_streams(count, rng, streams)
-        sources = [rng] * count if streams is None else streams
-        return [
-            self.simulate_cascade(graph, seeds, source, cost=cost) for source in sources
-        ]
+        chunks = _seeded(_cascade_units, count, rng, (self, graph, seeds), batch_mode)
+        return _gather(chunks, cost=cost)
 
     def simulate_spread(
         self,
@@ -236,19 +219,47 @@ class DiffusionModel(abc.ABC):
         come straight from the mask kernel's popcounts — no per-cascade
         result objects are materialised.
         """
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-            self._require_bitparallel_rng(num_simulations, rng, None)
-            counts = _bp.batched_cascade_counts(
-                graph,
-                seeds,
-                num_simulations,
-                _as_generator(rng),
-                lambda lanes, generator: self.forward_live_words(graph, lanes, generator),
-                cost=cost,
-            )
-            return float(counts.sum()) / num_simulations
-        results = self.simulate_cascades(graph, seeds, num_simulations, rng, cost=cost)
-        return sum(result.num_activated for result in results) / num_simulations
+        total, _ = self.spread_moments(
+            graph, seeds, num_simulations, rng, cost=cost, batch_mode=batch_mode
+        )
+        return total / num_simulations
+
+    def spread_moments(
+        self,
+        graph: InfluenceGraph,
+        seeds,
+        count: int,
+        rng,
+        *,
+        cost: TraversalCost | None = None,
+        jobs: int | None = None,
+        executor: "Executor | None" = None,
+        telemetry=None,
+        batch_mode: str | None = None,
+    ) -> tuple[int, int]:
+        """Integer sum and sum of squares of ``count`` cascades' activated counts.
+
+        The exact reduction behind :meth:`simulate_spread` and
+        :func:`repro.estimation.monte_carlo.monte_carlo_spread`: chunks
+        return integer totals, so the result is independent of the chunk
+        layout under ``jobs``/``executor``.
+        """
+        total = total_squared = 0
+        for chunk_total, chunk_squared, chunk_cost in _seeded(
+            _spread_units,
+            count,
+            rng,
+            (self, graph, seeds),
+            batch_mode,
+            jobs=jobs,
+            executor=executor,
+            telemetry=telemetry,
+        ):
+            total += chunk_total
+            total_squared += chunk_squared
+            if cost is not None:
+                cost.merge(chunk_cost)
+        return total, total_squared
 
     def sample_snapshots(
         self,
@@ -263,229 +274,186 @@ class DiffusionModel(abc.ABC):
     ) -> list[Snapshot]:
         """Draw ``count`` independent snapshots.
 
-        Same contract as :func:`repro.diffusion.snapshots.sample_snapshots`:
-        the default is the historical sequential single-stream draw, while
+        The default is the historical sequential single-stream draw, while
         ``jobs``/``executor`` opts into the runtime's split-stream seeding
         (snapshot ``i`` from a child stream of ``(rng, i)``; bit-identical
         for any worker count).  ``telemetry`` (optional) records a
         ``snapshot.samples`` counter and the runtime dispatch metrics.
         """
-        require_positive_int(count, "count")
         if telemetry is not None and telemetry.enabled:
             telemetry.incr("snapshot.samples", count)
-        if jobs is None and executor is None:
-            return [
-                self.sample_snapshot(graph, rng, sample_size=sample_size)
-                for _ in range(count)
-            ]
-
-        from ..runtime.engine import run_seeded_tasks
-
-        snapshots: list[Snapshot] = []
-        for chunk_snapshots, chunk_size in run_seeded_tasks(
-            _model_snapshot_chunk_worker,
+        chunks = _seeded(
+            _snapshot_units,
             count,
             rng,
+            (self, graph),
             jobs=jobs,
             executor=executor,
-            payload=(self, graph),
             telemetry=telemetry,
-        ):
-            snapshots.extend(chunk_snapshots)
-            if sample_size is not None:
-                sample_size.merge(chunk_size)
-        return snapshots
+        )
+        return _gather(chunks, sample_size=sample_size)
 
     def sample_rr_sets(
         self,
         graph: InfluenceGraph,
         count: int,
-        rng: RandomSource | np.random.Generator | None = None,
+        rng: RandomSource | np.random.Generator,
         *,
         cost: TraversalCost | None = None,
         sample_size: SampleSize | None = None,
         jobs: int | None = None,
         executor: "Executor | None" = None,
-        streams=None,
         telemetry=None,
         batch_mode: str | None = None,
     ) -> list[RRSet]:
         """Generate ``count`` independent RR sets.
 
-        Same contract as :func:`repro.diffusion.reverse.sample_rr_sets`
-        (sequential single stream by default, split-stream with
-        ``jobs``/``executor``); cost accumulators are merged in chunk order,
-        keeping totals exact.  ``streams`` (one source per set, mutually
-        exclusive with ``jobs``/``executor``) is the runtime chunk workers'
-        form: set ``i`` draws only from ``streams[i]``, letting batched
-        kernels reuse scratch buffers across a whole chunk.  ``telemetry``
-        (optional) records an ``rr.sets`` counter and the runtime dispatch
-        metrics.
+        Sequential single stream by default, split-stream with
+        ``jobs``/``executor`` (set ``i`` from a child stream of ``(rng, i)``);
+        cost accumulators are merged in chunk order, keeping totals exact.
+        ``telemetry`` (optional) records an ``rr.sets`` counter and the
+        runtime dispatch metrics.
 
         ``batch_mode="bitparallel"`` generates the sets 64 worlds per word
         (own draw-order contract, see :mod:`repro.diffusion.bitparallel`);
-        under ``jobs``/``executor`` the runtime's task unit becomes the
-        **word** index — word ``i`` draws from the child stream of
-        ``(rng, i)`` — so any worker count is bit-identical.
+        under ``jobs``/``executor`` the seeding unit becomes the **word** —
+        word ``i`` draws from the child stream of ``(rng, i)`` — so any
+        worker count is bit-identical.
         """
-        if streams is not None and (jobs is not None or executor is not None):
-            raise InvalidParameterError(
-                "streams is mutually exclusive with jobs/executor"
-            )
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-            self._require_bitparallel_rng(count, rng, streams)
-            if telemetry is not None and telemetry.enabled:
-                telemetry.incr("rr.sets", count)
-            _record_bitparallel(telemetry, count)
-            if jobs is None and executor is None:
-                from ..obs import as_telemetry
-
-                with as_telemetry(telemetry).span("bitparallel.kernel"):
-                    return _bp.batched_rr_sets(
-                        graph,
-                        count,
-                        _as_generator(rng),
-                        lambda lanes, generator: self.reverse_live_words(
-                            graph, lanes, generator
-                        ),
-                        cost=cost,
-                        sample_size=sample_size,
-                    )
-
-            from ..runtime.engine import run_seeded_tasks
-
-            rr_sets: list[RRSet] = []
-            for chunk_sets, chunk_cost, chunk_size in run_seeded_tasks(
-                _model_rr_word_chunk_worker,
-                len(_bp.word_spans(count)),
-                rng,
-                jobs=jobs,
-                executor=executor,
-                payload=(self, graph, count),
-                telemetry=telemetry,
-            ):
-                rr_sets.extend(chunk_sets)
-                if cost is not None:
-                    cost.merge(chunk_cost)
-                if sample_size is not None:
-                    sample_size.merge(chunk_size)
-            return rr_sets
-        require_rng_or_streams(count, rng, streams)
         if telemetry is not None and telemetry.enabled:
             telemetry.incr("rr.sets", count)
-        if streams is not None:
-            return [
-                self.sample_rr_set(graph, source, cost=cost, sample_size=sample_size)
-                for source in streams
-            ]
-        if jobs is None and executor is None:
-            return [
-                self.sample_rr_set(graph, rng, cost=cost, sample_size=sample_size)
-                for _ in range(count)
-            ]
-
-        from ..runtime.engine import run_seeded_tasks
-
-        rr_sets: list[RRSet] = []
-        for chunk_sets, chunk_cost, chunk_size in run_seeded_tasks(
-            _model_rr_chunk_worker,
+        chunks = _seeded(
+            _rr_set_units,
             count,
             rng,
+            (self, graph),
+            batch_mode,
             jobs=jobs,
             executor=executor,
-            payload=(self, graph),
             telemetry=telemetry,
-        ):
-            rr_sets.extend(chunk_sets)
-            if cost is not None:
-                cost.merge(chunk_cost)
-            if sample_size is not None:
-                sample_size.merge(chunk_size)
-        return rr_sets
+        )
+        return _gather(chunks, cost=cost, sample_size=sample_size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _model_snapshot_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph], root_key: tuple, start: int, stop: int
-) -> tuple[list[Snapshot], SampleSize]:
-    """Sample model snapshots for task indices ``start..stop-1`` (one per index).
+# --------------------------------------------------------------------------- #
+# the one seeded dispatch and its unit kernels
+# --------------------------------------------------------------------------- #
+def _seeded(
+    kernel,
+    count: int,
+    rng,
+    payload: tuple,
+    batch_mode: str | None = None,
+    *,
+    jobs: int | None = None,
+    executor: "Executor | None" = None,
+    telemetry=None,
+) -> list:
+    """Run ``kernel`` over ``count`` samples through the runtime engine.
 
-    Module-level so it pickles into worker processes; each index derives its
-    own child generator, making results independent of the chunk layout (and
-    of which model the payload carries).
+    The kernel receives ``payload + (bitparallel,)``; the engine's unit is
+    one sample for scalar kernels and one 64-lane word for bit-parallel ones.
     """
-    from ..runtime.seeding import child_generator
+    from ..runtime.engine import run_seeded_tasks
 
-    model, graph = payload
-    chunk_size = SampleSize()
-    snapshots = [
-        model.sample_snapshot(graph, child_generator(root_key, index), sample_size=chunk_size)
-        for index in range(start, stop)
-    ]
-    return snapshots, chunk_size
-
-
-def _model_rr_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph], root_key: tuple, start: int, stop: int
-) -> tuple[list[RRSet], TraversalCost, SampleSize]:
-    """Sample model RR sets for task indices ``start..stop-1`` (one per index).
-
-    Each index derives its own child stream; the streams form of
-    :meth:`DiffusionModel.sample_rr_sets` lets batched kernels (IC) reuse
-    scratch buffers across the whole chunk instead of allocating two
-    O(num_vertices) arrays per RR set.
-    """
-    from ..runtime.seeding import child_generator
-
-    model, graph = payload
-    chunk_cost = TraversalCost()
-    chunk_size = SampleSize()
-    rr_sets = model.sample_rr_sets(
-        graph,
-        stop - start,
-        cost=chunk_cost,
-        sample_size=chunk_size,
-        streams=[child_generator(root_key, index) for index in range(start, stop)],
-        batch_mode=_bp.SCALAR,
+    require_positive_int(count, "count")
+    bitparallel = _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL
+    return run_seeded_tasks(
+        kernel,
+        count,
+        rng,
+        lanes=_bp.LANES_PER_WORD if bitparallel else 1,
+        jobs=jobs,
+        executor=executor,
+        payload=payload + (bitparallel,),
+        telemetry=telemetry,
     )
-    return rr_sets, chunk_cost, chunk_size
 
 
-def _model_rr_word_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph, int],
-    root_key: tuple,
-    start: int,
-    stop: int,
-) -> tuple[list[RRSet], TraversalCost, SampleSize]:
-    """Bit-parallel RR generation for **word** indices ``start..stop-1``.
+def _gather(chunks, *, cost=None, sample_size=None) -> list:
+    """Concatenate ``(items, cost, size)`` chunk results in chunk order."""
+    items: list = []
+    for chunk_items, chunk_cost, chunk_size in chunks:
+        items.extend(chunk_items)
+        if cost is not None:
+            cost.merge(chunk_cost)
+        if sample_size is not None:
+            sample_size.merge(chunk_size)
+    return items
 
-    The runtime task unit here is the 64-world word, not the single RR set:
-    word ``i`` covers simulation indices ``64*i .. min(64*(i+1), count) - 1``
-    and draws every one of its values (targets first, then live words) from
-    the child stream of ``(root_key, i)``, so results are independent of the
-    chunk layout and worker count.
-    """
-    from ..runtime.seeding import child_generator
 
-    model, graph, count = payload
-    chunk_cost = TraversalCost()
-    chunk_size = SampleSize()
-    rr_sets: list[RRSet] = []
-    for word_index in range(start, stop):
-        lanes = min(_bp.LANES_PER_WORD, count - word_index * _bp.LANES_PER_WORD)
-        rr_sets.extend(
-            _bp.batched_rr_sets(
-                graph,
-                lanes,
-                child_generator(root_key, word_index),
-                lambda n, generator: model.reverse_live_words(graph, n, generator),
-                cost=chunk_cost,
-                sample_size=chunk_size,
+def _cascade_units(payload, units) -> tuple[list[CascadeResult], TraversalCost, None]:
+    """Forward-cascade unit kernel (module-level so it pickles)."""
+    model, graph, seeds, bitparallel = payload
+    cost = TraversalCost()
+    if bitparallel:
+        live_words = partial(model.forward_live_words, graph)
+        results = [
+            result
+            for generator, n in units
+            for result in _bp.batched_cascade_results(
+                graph, seeds, n, generator, live_words, cost=cost
             )
+        ]
+    else:
+        results = model.simulate_cascade_units(graph, seeds, units, cost=cost)
+    return results, cost, None
+
+
+def _spread_units(payload, units) -> tuple[int, int, TraversalCost]:
+    """Activated-count ``(sum, sum of squares, cost)`` unit kernel."""
+    model, graph, seeds, bitparallel = payload
+    cost = TraversalCost()
+    if bitparallel:
+        live_words = partial(model.forward_live_words, graph)
+        counts = np.concatenate(
+            [
+                _bp.batched_cascade_counts(graph, seeds, n, generator, live_words, cost=cost)
+                for generator, n in units
+            ]
         )
-    return rr_sets, chunk_cost, chunk_size
+    else:
+        counts = np.array(
+            [
+                result.num_activated
+                for result in model.simulate_cascade_units(graph, seeds, units, cost=cost)
+            ],
+            dtype=np.int64,
+        )
+    return int(counts.sum()), int((counts * counts).sum()), cost
+
+
+def _snapshot_units(payload, units) -> tuple[list[Snapshot], None, SampleSize]:
+    """Live-edge snapshot unit kernel (snapshots have no bit-parallel form)."""
+    model, graph, _ = payload
+    size = SampleSize()
+    snapshots = [
+        model.sample_snapshot(graph, generator, sample_size=size)
+        for generator, n in units
+        for _ in range(n)
+    ]
+    return snapshots, None, size
+
+
+def _rr_set_units(payload, units) -> tuple[list[RRSet], TraversalCost, SampleSize]:
+    """RR-set unit kernel."""
+    model, graph, bitparallel = payload
+    cost, size = TraversalCost(), SampleSize()
+    if bitparallel:
+        live_words = partial(model.reverse_live_words, graph)
+        rr_sets = [
+            rr_set
+            for generator, n in units
+            for rr_set in _bp.batched_rr_sets(
+                graph, n, generator, live_words, cost=cost, sample_size=size
+            )
+        ]
+    else:
+        rr_sets = model.sample_rr_set_units(graph, units, cost=cost, sample_size=size)
+    return rr_sets, cost, size
 
 
 class IndependentCascade(DiffusionModel):
@@ -502,21 +470,10 @@ class IndependentCascade(DiffusionModel):
     def simulate_cascade(self, graph, seeds, rng, *, cost=None):
         return _ic_cascade.simulate_cascade(graph, seeds, rng, cost=cost)
 
-    def simulate_cascades(
-        self, graph, seeds, count, rng=None, *, cost=None, streams=None, batch_mode=None
-    ):
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-            return super().simulate_cascades(
-                graph, seeds, count, rng, cost=cost, streams=streams,
-                batch_mode=_bp.BITPARALLEL,
-            )
-        # Batched kernel entry: identical draws, amortized per-call overhead
-        # (one seed normalization, one CSR unpack, reused scratch buffers).
-        # repro-lint: allow[CTX001] batch_mode was consumed by the dispatch
-        # above; this branch is the already-resolved sequential path.
-        return _ic_cascade.simulate_cascades(
-            graph, seeds, count, rng, cost=cost, streams=streams
-        )
+    def simulate_cascade_units(self, graph, seeds, units, *, cost=None):
+        # Batched kernel: identical draws, amortized per-call overhead (one
+        # seed normalization, one CSR unpack, reused scratch buffers).
+        return _ic_cascade._simulate_cascade_units(graph, seeds, units, cost=cost)
 
     def forward_live_words(self, graph, num_lanes, generator):
         # IC live edges are independent Bernoulli flips, so one batched draw
@@ -534,44 +491,10 @@ class IndependentCascade(DiffusionModel):
             graph, rng, target=target, cost=cost, sample_size=sample_size
         )
 
-    def sample_rr_sets(
-        self,
-        graph,
-        count,
-        rng=None,
-        *,
-        cost=None,
-        sample_size=None,
-        jobs=None,
-        executor=None,
-        streams=None,
-        telemetry=None,
-        batch_mode=None,
-    ):
-        if (
-            jobs is None
-            and executor is None
-            and _bp.resolve_batch_mode(batch_mode) == _bp.SCALAR
-        ):
-            # Batched kernel (single stream or one stream per set):
-            # byte-identical to the base class's per-set loop, with buffer
-            # reuse across the whole batch.
-            if telemetry is not None and telemetry.enabled:
-                telemetry.incr("rr.sets", count)
-            return _ic_reverse._sample_rr_sets_batch(
-                graph, count, rng, cost=cost, sample_size=sample_size, streams=streams
-            )
-        return super().sample_rr_sets(
-            graph,
-            count,
-            rng,
-            cost=cost,
-            sample_size=sample_size,
-            jobs=jobs,
-            executor=executor,
-            streams=streams,
-            telemetry=telemetry,
-            batch_mode=batch_mode,
+    def sample_rr_set_units(self, graph, units, *, cost=None, sample_size=None):
+        # Batched kernel: identical draws, with buffer reuse across the batch.
+        return _ic_reverse._sample_rr_set_units(
+            graph, units, cost=cost, sample_size=sample_size
         )
 
     def exact_spread(self, graph, seeds):

@@ -10,11 +10,12 @@ a graph where building a pool would be wasteful.
 
 Batched parallelism: cascades are independent, so
 :func:`monte_carlo_spread` accepts ``jobs=``/``executor=`` and dispatches
-chunks of simulations through :mod:`repro.runtime`.  Each simulation index
-draws from its own child stream and per-chunk activation totals are exact
-integers, so the estimate is bit-identical for any worker count or chunk
-size (and differs from the default single-stream sequential draw, which is
-preserved when neither parameter is given).
+chunks of simulations through :mod:`repro.runtime` (via
+:meth:`~repro.diffusion.models.DiffusionModel.spread_moments`).  Each
+simulation index draws from its own child stream and per-chunk activation
+totals are exact integers, so the estimate is bit-identical for any worker
+count or chunk size (and differs from the default single-stream sequential
+draw, which is preserved when neither parameter is given).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .._validation import normalize_seed_set, require_positive_int
+from .._validation import require_positive_int
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
@@ -64,71 +65,6 @@ class MonteCarloEstimate:
         return (self.mean - radius, self.mean + radius)
 
 
-def _cascade_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph, tuple[int, ...]],
-    root_key: tuple,
-    start: int,
-    stop: int,
-) -> tuple[int, int]:
-    """Activation totals for simulation indices ``start..stop-1``.
-
-    Returns integer ``(sum, sum of squares)`` so the parent-side reduction is
-    exact regardless of chunk boundaries.  ``batch_mode`` is pinned to
-    ``"scalar"``: the scalar split-stream contract is per *simulation*, and a
-    ``REPRO_BITPARALLEL`` environment variable leaking into worker processes
-    must not change it (the bit-parallel path has its own word worker below).
-    """
-    from ..runtime.seeding import child_generator
-
-    model, graph, seed_set = payload
-    results = model.simulate_cascades(
-        graph,
-        seed_set,
-        stop - start,
-        streams=[child_generator(root_key, index) for index in range(start, stop)],
-        batch_mode="scalar",
-    )
-    total = 0
-    total_squared = 0
-    for result in results:
-        total += result.num_activated
-        total_squared += result.num_activated * result.num_activated
-    return total, total_squared
-
-
-def _cascade_word_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph, tuple[int, ...], int],
-    root_key: tuple,
-    start: int,
-    stop: int,
-) -> tuple[int, int]:
-    """Bit-parallel activation totals for **word** indices ``start..stop-1``.
-
-    The runtime task unit is the 64-world word: word ``i`` covers simulation
-    indices ``64*i .. min(64*(i+1), count) - 1`` and draws all of its live
-    words from the child stream of ``(root_key, i)``, so totals are
-    bit-identical for any worker count or chunk layout.
-    """
-    from ..diffusion.bitparallel import LANES_PER_WORD, batched_cascade_counts
-    from ..runtime.seeding import child_generator
-
-    model, graph, seed_set, count = payload
-    total = 0
-    total_squared = 0
-    for word_index in range(start, stop):
-        lanes = min(LANES_PER_WORD, count - word_index * LANES_PER_WORD)
-        counts = batched_cascade_counts(
-            graph,
-            seed_set,
-            lanes,
-            child_generator(root_key, word_index),
-            lambda n, generator: model.forward_live_words(graph, n, generator),
-        )
-        total += int(counts.sum())
-        total_squared += int((counts * counts).sum())
-    return total, total_squared
-
-
 def monte_carlo_spread(
     graph: InfluenceGraph,
     seed_set: tuple[int, ...] | list[int] | set[int],
@@ -162,79 +98,23 @@ def monte_carlo_spread(
         model=model,
         batch_mode=batch_mode,
     )
-    from ..diffusion.bitparallel import (
-        BITPARALLEL,
-        batched_cascade_counts,
-        resolve_batch_mode,
-        word_spans,
-    )
     from ..obs import as_telemetry
 
     tel = as_telemetry(telemetry)
     diffusion = resolve_model(model)
     diffusion.validate(graph)
-    bitparallel = resolve_batch_mode(batch_mode) == BITPARALLEL
     tel.incr("mc.simulations", num_simulations)
-    if bitparallel and tel.enabled:
-        # Recorded at the dispatch seam, before the serial-vs-chunked split,
-        # so these counters are deterministic across every jobs value.
-        tel.incr("bitparallel.words", len(word_spans(num_simulations)))
-        tel.incr("bitparallel.lanes_used", num_simulations)
     with tel.span("mc.spread"):
-        if jobs is None and executor is None:
-            source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
-            total = 0
-            total_squared = 0
-            if bitparallel:
-                seeds = normalize_seed_set(seed_set, graph.num_vertices)
-                with tel.span("bitparallel.kernel"):
-                    counts = batched_cascade_counts(
-                        graph,
-                        seeds,
-                        num_simulations,
-                        source.generator,
-                        lambda lanes, generator: diffusion.forward_live_words(
-                            graph, lanes, generator
-                        ),
-                    )
-                total = int(counts.sum())
-                total_squared = int((counts * counts).sum())
-            else:
-                # One batched call (identical stream consumption to the
-                # historical per-simulation loop; the batch only amortizes
-                # per-call overhead).  batch_mode is pinned so an explicit
-                # "scalar" request beats a set REPRO_BITPARALLEL variable.
-                for result in diffusion.simulate_cascades(
-                    graph, seed_set, num_simulations, source.generator,
-                    batch_mode="scalar",
-                ):
-                    total += result.num_activated
-                    total_squared += result.num_activated * result.num_activated
-        else:
-            from ..runtime.engine import run_seeded_tasks
-
-            seeds = normalize_seed_set(seed_set, graph.num_vertices)
-            if bitparallel:
-                worker = _cascade_word_chunk_worker
-                task_count = len(word_spans(num_simulations))
-                payload = (diffusion, graph, seeds, num_simulations)
-            else:
-                worker = _cascade_chunk_worker
-                task_count = num_simulations
-                payload = (diffusion, graph, seeds)
-            total = 0
-            total_squared = 0
-            for chunk_total, chunk_squared in run_seeded_tasks(
-                worker,
-                task_count,
-                seed,
-                jobs=jobs,
-                executor=executor,
-                payload=payload,
-                telemetry=telemetry,
-            ):
-                total += chunk_total
-                total_squared += chunk_squared
+        total, total_squared = diffusion.spread_moments(
+            graph,
+            seed_set,
+            num_simulations,
+            seed if isinstance(seed, RandomSource) else RandomSource(seed),
+            jobs=jobs,
+            executor=executor,
+            telemetry=telemetry,
+            batch_mode=batch_mode,
+        )
     mean = total / num_simulations
     variance = max(0.0, total_squared / num_simulations - mean * mean)
     if num_simulations > 1:

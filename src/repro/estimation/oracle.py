@@ -73,7 +73,7 @@ class RRPoolOracle:
         ``"bitparallel"`` generates the pool 64 worlds per machine word (the
         opt-in fast path with its own draw-order contract — a *different*
         pool than the scalar stream, but the same RR-set distribution); the
-        default defers to ``REPRO_BITPARALLEL`` and then ``"scalar"``.
+        default ``None`` means ``"scalar"``.
 
     Notes
     -----
@@ -106,53 +106,45 @@ class RRPoolOracle:
             model=model,
             batch_mode=batch_mode,
         )
-        from ..diffusion.bitparallel import resolve_batch_mode
         from ..obs import as_telemetry
 
-        batch_mode = resolve_batch_mode(batch_mode)
         tel = as_telemetry(telemetry)
         self._graph = graph
         self._model = resolve_model(model)
         self._model.validate(graph)
         self._pool_size = require_positive_int(pool_size, "pool_size")
         self._membership: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+        if jobs is None and executor is None:
+            # Single-stream path: generate in bounded batches (whole 64-world
+            # words under batch_mode="bitparallel"; the draws equal one big
+            # call) and discard each batch once indexed, so peak memory stays
+            # the membership index plus one batch rather than the whole pool.
+            batches = [
+                min(4096, self._pool_size - start)
+                for start in range(0, self._pool_size, 4096)
+            ]
+        else:
+            # Split-stream path: one dispatch for the whole pool, so a
+            # parallel build pays for one round of worker tasks.
+            batches = [self._pool_size]
+        rng = RandomSource(seed)
         total_size = 0
+        pool_index = 0
         with tel.span("oracle.build"):
-            if jobs is None and executor is None:
-                # Default sequential path: generate in bounded batches through
-                # the model's batched kernel (byte-identical single-stream
-                # draws; with batch_mode="bitparallel", whole 64-world words)
-                # and discard each batch once indexed, so peak memory stays
-                # the membership index plus one batch rather than the whole
-                # pool.
-                rng = RandomSource(seed)
-                pool_index = 0
-                while pool_index < self._pool_size:
-                    batch = min(4096, self._pool_size - pool_index)
-                    for rr_set in self._model.sample_rr_sets(
-                        graph, batch, rng, telemetry=telemetry, batch_mode=batch_mode
-                    ):
-                        total_size += rr_set.size
-                        for vertex in rr_set.vertices:
-                            self._membership[vertex].append(pool_index)
-                        pool_index += 1
-            else:
-                # Parallel pool generation under the runtime's split-stream
-                # contract (bit-identical for any worker count, but a different
-                # pool than the sequential single-stream draw above).
-                rr_sets = self._model.sample_rr_sets(
+            for batch in batches:
+                for rr_set in self._model.sample_rr_sets(
                     graph,
-                    self._pool_size,
-                    RandomSource(seed),
+                    batch,
+                    rng,
                     jobs=jobs,
                     executor=executor,
                     telemetry=telemetry,
                     batch_mode=batch_mode,
-                )
-                for pool_index, rr_set in enumerate(rr_sets):
+                ):
                     total_size += rr_set.size
                     for vertex in rr_set.vertices:
                         self._membership[vertex].append(pool_index)
+                    pool_index += 1
         if tel.enabled:
             tel.incr("oracle.rr_sets", self._pool_size)
             tel.incr("oracle.rr_vertices", total_size)

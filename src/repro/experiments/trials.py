@@ -142,7 +142,7 @@ class TrialSet:
         return float(np.mean(self.influences >= threshold))
 
 
-def _trials_chunk_worker(
+def _run_trial_chunk(
     task: tuple[InfluenceGraph, int, EstimatorFactory, int, Sequence[int]],
 ) -> list[tuple[int, GreedyResult]]:
     """Run one chunk of greedy trials; each trial is fixed by its own seed.
@@ -244,7 +244,7 @@ def run_trials(
     seeds = trial_seeds(experiment_seed, num_trials)
     with tel.span("trials.run"):
         if jobs is None and executor is None:
-            pairs = _trials_chunk_worker((graph, k, estimator_factory, num_samples, seeds))
+            pairs = _run_trial_chunk((graph, k, estimator_factory, num_samples, seeds))
         else:
             from ..runtime.chunking import chunk_spans, default_num_chunks
             from ..runtime.engine import executor_scope, instrumented_map
@@ -258,7 +258,7 @@ def run_trials(
                 pairs = [
                     pair
                     for chunk in instrumented_map(
-                        resolved, _trials_chunk_worker, tasks, telemetry=telemetry
+                        resolved, _run_trial_chunk, tasks, telemetry=telemetry
                     )
                     for pair in chunk
                 ]

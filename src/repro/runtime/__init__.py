@@ -39,18 +39,15 @@ Passing ``jobs=None`` (the default everywhere) keeps the historical
 single-stream sequential behaviour, which draws all randomness from one
 generator and therefore differs from the split-stream ``jobs>=1`` path.
 Opting into the runtime (any non-``None`` ``jobs`` or an explicit executor)
-opts into the split-stream seeding contract.
+opts into the split-stream seeding contract.  Both contracts, and the
+64-lane word unit of the bit-parallel kernels, live in one function:
+:func:`run_seeded_tasks`.
 """
 
 from .chunking import chunk_spans, default_num_chunks
 from .engine import executor_scope, run_seeded_tasks, run_tasks
 from .executor import Executor, ParallelExecutor, SerialExecutor
-from .seeding import (
-    child_generator,
-    child_sequence,
-    child_sources,
-    seed_key,
-)
+from .seeding import child_generator, child_sequence, seed_key
 
 __all__ = [
     "Executor",
@@ -64,5 +61,4 @@ __all__ = [
     "seed_key",
     "child_sequence",
     "child_generator",
-    "child_sources",
 ]

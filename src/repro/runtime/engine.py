@@ -1,11 +1,21 @@
 """The chunked-dispatch engine tying seeding, chunking, and executors together.
 
-:func:`run_seeded_tasks` is the one entry point the hot paths use: it splits
-``count`` seeded tasks into deterministic chunks, ships each chunk (with the
-root seed key and its index span) to an executor, and returns the per-chunk
-results in chunk order.  Workers derive each task's generator from
-``(root_key, task_index)`` via :func:`repro.runtime.seeding.child_generator`,
-so the outcome is independent of ``jobs`` and of the chunk layout.
+:func:`run_seeded_tasks` is the one place the two seeding contracts live.
+Every plural sampler (cascades, snapshots, RR sets, Monte-Carlo spread)
+hands it a *unit kernel* ``worker(payload, units)``, where ``units`` is a
+list of ``(generator, n)`` pairs and the kernel draws ``n`` samples from
+each generator in turn:
+
+* with ``jobs=None`` and no executor (the legacy single-stream contract) the
+  kernel runs once, in-process, on the single unit ``(rng, count)``;
+* otherwise (the split-stream contract) unit ``i`` is
+  ``(child_generator(root, i), min(lanes, count - i*lanes))``, units are
+  chunked deterministically, and each chunk runs on the executor.
+
+``lanes`` is the seeding unit: 1 for the scalar kernels, 64 for the
+bit-parallel word (see :mod:`repro.diffusion.bitparallel`).  Because a unit's
+stream depends only on ``(root, i)``, the split-stream outcome is
+independent of ``jobs`` and of the chunk layout.
 """
 
 from __future__ import annotations
@@ -15,13 +25,16 @@ import pickle
 import time
 from typing import Any, Callable, Iterator, Sequence
 
+import numpy as np
+
 from .._validation import require_positive_int
+from ..diffusion.random_source import RandomSource
 from .chunking import chunk_spans, default_num_chunks
 from .executor import Executor, ParallelExecutor, SerialExecutor
-from .seeding import SeedKey, seed_key
+from .seeding import child_generator, seed_key
 
-#: Signature of a seeded chunk worker: ``(payload, root_key, start, stop)``.
-SeededWorker = Callable[[Any, SeedKey, int, int], Any]
+#: Signature of a unit kernel: ``(payload, [(generator, n), ...])``.
+SeededWorker = Callable[[Any, list[tuple[np.random.Generator, int]]], Any]
 
 
 @contextlib.contextmanager
@@ -49,9 +62,18 @@ def executor_scope(
 
 
 def _invoke_seeded_chunk(task: tuple) -> Any:
-    """Unpack one chunk task; module-level so it pickles for process pools."""
-    worker, payload, key, start, stop = task
-    return worker(payload, key, start, stop)
+    """Derive one chunk's units from its sample span and run the kernel.
+
+    Module-level so it pickles for process pools.  ``start`` is a multiple of
+    ``lanes``, so the unit starting at sample ``index`` is unit
+    ``index // lanes`` and draws from that unit's child stream.
+    """
+    worker, payload, key, lanes, start, stop = task
+    units = [
+        (child_generator(key, index // lanes), min(lanes, stop - index))
+        for index in range(start, stop, lanes)
+    ]
+    return worker(payload, units)
 
 
 def _timed_invoke(task: tuple) -> tuple[Any, float]:
@@ -120,55 +142,84 @@ def instrumented_map(
 def run_seeded_tasks(
     worker: SeededWorker,
     count: int,
-    root: Any,
+    rng: Any,
     *,
+    lanes: int = 1,
     jobs: int | None = None,
     executor: Executor | None = None,
     payload: Any = None,
     num_chunks: int | None = None,
     telemetry: Any = None,
 ) -> list[Any]:
-    """Run ``count`` seeded tasks through ``worker`` in deterministic chunks.
+    """Draw ``count`` samples through the unit kernel ``worker``.
 
     Parameters
     ----------
     worker:
-        A picklable module-level function ``worker(payload, root_key, start,
-        stop)`` that processes task indices ``start..stop-1``, deriving task
-        ``i``'s generator as ``child_generator(root_key, i)``, and returns
-        one chunk result.
+        A picklable module-level kernel ``worker(payload, units)`` drawing
+        ``n`` samples from each ``(generator, n)`` unit, in order, and
+        returning one chunk result.
     count:
-        Total number of logical tasks.
-    root:
-        Seed root (int, ``SeedSequence``, or ``RandomSource``); normalised
-        with :func:`repro.runtime.seeding.seed_key`.
+        Total number of samples.
+    rng:
+        With ``jobs=None`` and no executor, the caller's stream (a
+        ``RandomSource`` or numpy ``Generator``), consumed in place.
+        Otherwise the split-stream root (int, ``SeedSequence``, or
+        ``RandomSource``), normalised with
+        :func:`repro.runtime.seeding.seed_key`.
+    lanes:
+        Samples per split-stream unit: 1 for scalar kernels, 64 for the
+        bit-parallel word.  A word unit (``lanes > 1``) also records the
+        deterministic ``bitparallel.words``/``bitparallel.lanes_used``
+        counters here, before the serial/parallel split, and times an
+        in-process run under a ``bitparallel.kernel`` span.
     jobs, executor:
-        Worker-count shorthand or an explicit (caller-owned) executor.
+        Worker-count shorthand or an explicit (caller-owned) executor;
+        either one opts into the split-stream contract.
     payload:
-        Picklable shared context (typically the graph) handed to every chunk.
+        Picklable shared context (typically model and graph) handed to every
+        chunk.
     num_chunks:
         Override the chunk count; results are identical for any value.
     telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry`; when enabled the
-        dispatch is routed through :func:`instrumented_map` and a
-        ``runtime.tasks`` counter records the logical task count.
+        Optional :class:`~repro.obs.telemetry.Telemetry`; on the split-stream
+        path the dispatch is routed through :func:`instrumented_map` and a
+        ``runtime.tasks`` counter records the unit count.
 
     Returns
     -------
     list
-        Per-chunk results in chunk (i.e. index) order.
+        Per-chunk results in chunk order (one result for a single-stream
+        run).
     """
-    key = seed_key(root)
-    if telemetry is not None and telemetry.enabled:
-        telemetry.incr("runtime.tasks", count)  # repro-lint: allow[TEL001] logical task count; lives with the other runtime.* dispatch metrics (trace-format compat)
+    units = -(-count // lanes)
+    enabled = telemetry is not None and telemetry.enabled
+    if enabled and lanes > 1:
+        telemetry.incr("bitparallel.words", units)
+        telemetry.incr("bitparallel.lanes_used", count)
+    if jobs is None and executor is None:
+        generator = rng.generator if isinstance(rng, RandomSource) else rng
+        timer = (
+            telemetry.span("bitparallel.kernel")
+            if enabled and lanes > 1
+            else contextlib.nullcontext()
+        )
+        with timer:
+            return [worker(payload, [(generator, count)])]
+    key = seed_key(rng)
+    if enabled:
+        telemetry.incr("runtime.tasks", units)  # repro-lint: allow[TEL001] logical task count; lives with the other runtime.* dispatch metrics (trace-format compat)
     with executor_scope(jobs, executor) as resolved:
         chunks = (
-            default_num_chunks(count, resolved.jobs)
+            default_num_chunks(units, resolved.jobs)
             if num_chunks is None
             else require_positive_int(num_chunks, "num_chunks")
         )
-        spans = chunk_spans(count, chunks) if count else []
-        tasks = [(worker, payload, key, start, stop) for start, stop in spans]
+        spans = chunk_spans(units, chunks) if units else []
+        tasks = [
+            (worker, payload, key, lanes, start * lanes, min(stop * lanes, count))
+            for start, stop in spans
+        ]
         return instrumented_map(
             resolved, _invoke_seeded_chunk, tasks, telemetry=telemetry
         )

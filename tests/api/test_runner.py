@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.experiments.factories import estimator_factory
 from repro.experiments.trials import run_trials
 
 KARATE = GraphSpec(dataset="karate", probability="uc0.1")
+EXAMPLE_SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 
 class TestDispatch:
@@ -133,6 +135,17 @@ class TestSpecImperativeEquivalence:
             return document
 
         assert result_for(1) == result_for(2)
+
+    def test_result_replays_from_its_spec_whatever_the_environment(self, monkeypatch):
+        # The retired REPRO_BITPARALLEL variable used to switch the kernels
+        # without appearing in the spec, so the same document gave a
+        # different seed set.  Only the spec may choose the batch mode.
+        spec = repro.load_spec(EXAMPLE_SPECS / "maximize_karate.json")
+        monkeypatch.delenv("REPRO_BITPARALLEL", raising=False)
+        reference = repro.run(spec).to_dict()
+        monkeypatch.setenv("REPRO_BITPARALLEL", "1")
+        assert repro.run(spec).to_dict() == reference
+        assert reference["seed_set"] == [0, 1, 25, 33]
 
 
 class TestGraphSpecResolution:

@@ -12,9 +12,10 @@ Four layers of protection:
   *different* from the scalar stream, so on probabilistic graphs we check
   distribution, not bytes: the bit-parallel Monte Carlo mean must fall
   inside a generous confidence interval of the scalar estimate.
-* **Seam behaviour** — ``batch_mode`` resolution (explicit > env > scalar),
-  the split-stream jobs contract (any worker count bit-identical), stream
-  injection rejection, and spec/context validation.
+* **Seam behaviour** — ``batch_mode`` resolution (explicit, else scalar;
+  the retired ``REPRO_BITPARALLEL`` variable has no effect), the pinned
+  single-stream and split-stream word streams (any worker count
+  bit-identical), and spec/context validation.
 """
 
 from __future__ import annotations
@@ -30,12 +31,16 @@ from repro.diffusion import bitparallel as bp
 from repro.diffusion.cascade import simulate_cascades, simulate_spread
 from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
+from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import sample_rr_sets
 from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.exceptions import InvalidParameterError, SpecValidationError
 from repro.graphs.datasets import load_dataset
 from repro.graphs.influence_graph import InfluenceGraph
 from repro.graphs.probability import assign_probabilities
+
+#: The environment variable that used to select the bit-parallel kernels.
+RETIRED_ENV_VAR = "REPRO_BITPARALLEL"
 
 
 @pytest.fixture(scope="module")
@@ -142,34 +147,31 @@ class TestBatchModeResolution:
             bp.require_batch_mode("vectorized")
 
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(bp.ENV_VAR, "1")
+        monkeypatch.setenv(RETIRED_ENV_VAR, "1")
         assert bp.resolve_batch_mode("scalar") == "scalar"
-        monkeypatch.setenv(bp.ENV_VAR, "0")
+        monkeypatch.setenv(RETIRED_ENV_VAR, "0")
         assert bp.resolve_batch_mode("bitparallel") == "bitparallel"
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", "on", "bitparallel"])
-    def test_env_truthy(self, monkeypatch, value):
-        monkeypatch.setenv(bp.ENV_VAR, value)
-        assert bp.resolve_batch_mode(None) == "bitparallel"
 
     @pytest.mark.parametrize("value", ["", "0", "false", "No", "off", "scalar"])
     def test_env_falsy(self, monkeypatch, value):
-        monkeypatch.setenv(bp.ENV_VAR, value)
+        monkeypatch.setenv(RETIRED_ENV_VAR, value)
         assert bp.resolve_batch_mode(None) == "scalar"
-
-    def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv(bp.ENV_VAR, "fast")
-        with pytest.raises(InvalidParameterError, match="REPRO_BITPARALLEL"):
-            bp.resolve_batch_mode(None)
 
     def test_default_is_scalar(self, monkeypatch):
-        monkeypatch.delenv(bp.ENV_VAR, raising=False)
+        monkeypatch.delenv(RETIRED_ENV_VAR, raising=False)
         assert bp.resolve_batch_mode(None) == "scalar"
 
-    def test_env_opt_in_reaches_kernels(self, karate_certain, monkeypatch):
-        monkeypatch.setenv(bp.ENV_VAR, "1")
-        spread = simulate_spread(karate_certain, (0,), 3, np.random.default_rng(0))
-        assert spread == float(karate_certain.num_vertices)
+    @pytest.mark.parametrize("value", ["1", "bitparallel", "fast"])
+    def test_retired_env_var_is_ignored(self, karate, monkeypatch, value):
+        # An unset batch_mode means scalar whatever the environment says:
+        # a knob outside the spec would make results unreplayable.
+        monkeypatch.setenv(RETIRED_ENV_VAR, value)
+        assert bp.resolve_batch_mode(None) == "scalar"
+        scalar = simulate_cascades(karate, (0,), 3, np.random.default_rng(0))
+        reference = simulate_cascades(
+            karate, (0,), 3, np.random.default_rng(0), batch_mode="scalar"
+        )
+        assert scalar == reference
 
 
 # --------------------------------------------------------------------------- #
@@ -362,14 +364,56 @@ class TestDrawOrderContract:
         for pool in pools[1:]:
             assert [(s.target, s.vertices, s.weight) for s in pool] == reference
 
-    def test_streams_rejected(self, karate):
-        from repro.runtime.seeding import child_sources
+    @pytest.mark.parametrize(
+        "model, jobs, head, totals",
+        [
+            (
+                INDEPENDENT_CASCADE, None,
+                [(18, [18, 32], 14), (30, [30], 4), (16, [5, 16], 6)],
+                (363, 2540, 363),
+            ),
+            (
+                INDEPENDENT_CASCADE, 2,
+                [(26, [26, 33], 19), (11, [0, 1, 2, 3, 4, 7, 8, 10, 11, 23, 32, 33], 91),
+                 (16, [0, 4, 5, 6, 10, 16], 32)],
+                (372, 2479, 372),
+            ),
+            (
+                LINEAR_THRESHOLD, None,
+                [(18, [15, 18, 22, 32, 33], 35), (30, [22, 30, 32], 18),
+                 (16, [0, 4, 6, 8, 10, 16], 33)],
+                (437, 3053, 437),
+            ),
+            (
+                LINEAR_THRESHOLD, 2,
+                [(26, [20, 26, 33], 21), (11, [0, 1, 11, 18, 19, 30, 32, 33], 64),
+                 (16, [6, 16], 6)],
+                (434, 3067, 434),
+            ),
+        ],
+    )
+    def test_rr_sets_pinned(self, karate_iwc, model, jobs, head, totals):
+        # Captured before the seeding dispatch moved into run_seeded_tasks:
+        # 100 sets = one full word + one 36-lane word, single stream and
+        # one child stream per word.
+        cost, size = TraversalCost(), SampleSize()
+        rr_sets = model.sample_rr_sets(
+            karate_iwc, 100, RandomSource(31), jobs=jobs, cost=cost,
+            sample_size=size, batch_mode="bitparallel",
+        )
+        assert len(rr_sets) == 100
+        assert [(r.target, sorted(r.vertices), r.weight) for r in rr_sets[:3]] == head
+        assert (cost.vertices, cost.edges, size.vertices) == totals
 
-        streams = child_sources(0, 4)
-        with pytest.raises(InvalidParameterError, match="streams"):
-            simulate_cascades(
-                karate, (0,), 4, None, streams=streams, batch_mode="bitparallel"
-            )
+    @pytest.mark.parametrize(
+        "jobs, mean, std",
+        [(None, 18.11, 4.23765128841568), (2, 17.69, 4.1156521919161335)],
+    )
+    def test_monte_carlo_pinned(self, karate_iwc, jobs, mean, std):
+        estimate = monte_carlo_spread(
+            karate_iwc, (0, 33), 200, seed=5, jobs=jobs, batch_mode="bitparallel"
+        )
+        assert (estimate.mean, estimate.std) == (mean, std)
 
     def test_partial_last_word_lane_count(self, karate):
         # 70 simulations = one full word + one 6-lane word; the mean must

@@ -37,6 +37,7 @@ from repro.diffusion.snapshots import (
     reachable_mask,
     reachable_set,
     sample_snapshot,
+    sample_snapshots,
 )
 from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.graphs.datasets import load_dataset
@@ -251,6 +252,21 @@ class TestSplitStreamGoldens:
         assert monte_carlo_spread(karate, (0, 33), 200, seed=5).mean == 18.44
         assert monte_carlo_spread(karate, (0, 33), 200, seed=5, jobs=1).mean == 17.635
         assert monte_carlo_spread(karate, (0, 33), 200, seed=5, jobs=4).mean == 17.635
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_snapshots_jobs_pinned(self, karate, jobs):
+        # Split-stream snapshots: snapshot i from the child stream (root, i).
+        snapshots = sample_snapshots(karate, 8, RandomSource(3), jobs=jobs)
+        assert [s.num_live_edges for s in snapshots] == [33, 28, 31, 33, 32, 31, 33, 31]
+        assert [int(s.targets.sum()) for s in snapshots] == [
+            594, 493, 452, 552, 528, 582, 525, 513,
+        ]
+        lt_snapshots = LINEAR_THRESHOLD.sample_snapshots(
+            karate, 3, RandomSource(3), jobs=jobs
+        )
+        assert [s.targets[:6].tolist() for s in lt_snapshots] == [
+            [4, 11, 13, 17, 19, 21], [6, 11, 12, 7, 17, 19], [1, 5, 10, 11, 17, 19],
+        ]
 
 
 class TestLinearThresholdGoldens:

@@ -8,7 +8,6 @@ import pytest
 from repro.diffusion.cascade import CascadeResult, simulate_cascade
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.linear_threshold import (
-    LTRRSet,
     lt_reachable_set,
     sample_lt_rr_set,
     sample_lt_snapshot,
@@ -183,7 +182,6 @@ class TestUnifiedResultTypes:
         assert isinstance(simulate_lt_cascade(star_graph, (0,), rng), CascadeResult)
 
     def test_lt_rr_set_is_rr_set(self, star_graph, rng):
-        assert LTRRSet is RRSet
         assert isinstance(sample_lt_rr_set(star_graph, rng), RRSet)
 
     def test_contains_is_cached(self):

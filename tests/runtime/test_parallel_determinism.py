@@ -57,13 +57,13 @@ class TestSamplingDeterminism:
         )
 
     def test_rr_sets_invariant_to_chunking(self, karate_uc01):
-        from repro.diffusion.models import INDEPENDENT_CASCADE, _model_rr_chunk_worker
+        from repro.diffusion.models import INDEPENDENT_CASCADE, _rr_set_units
         from repro.runtime.engine import run_seeded_tasks
 
         def flatten(num_chunks):
             chunks = run_seeded_tasks(
-                _model_rr_chunk_worker, 30, 5, jobs=1,
-                payload=(INDEPENDENT_CASCADE, karate_uc01), num_chunks=num_chunks,
+                _rr_set_units, 30, 5, jobs=1,
+                payload=(INDEPENDENT_CASCADE, karate_uc01, False), num_chunks=num_chunks,
             )
             return [r.vertices for chunk in chunks for r in chunk[0]]
 

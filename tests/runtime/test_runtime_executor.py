@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.runtime.engine import executor_scope, run_seeded_tasks, run_tasks
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
-from repro.runtime.seeding import child_generator
+from repro.runtime.seeding import child_generator, seed_key
 
 
 def _square(value: int) -> int:
@@ -17,12 +18,18 @@ def _square(value: int) -> int:
     return value * value
 
 
-def _sum_of_uniform_counts(payload: int, root_key: tuple, start: int, stop: int) -> list[int]:
-    """Seeded chunk worker: integer draw per index, payload as an offset."""
+def _sum_of_uniform_counts(payload: int, units) -> list[int]:
+    """Unit kernel: one integer draw per sample, payload as an offset."""
     return [
-        payload + int(child_generator(root_key, index).integers(1_000_000))
-        for index in range(start, stop)
+        payload + int(generator.integers(1_000_000))
+        for generator, n in units
+        for _ in range(n)
     ]
+
+
+def _unit_layout(payload, units) -> list[tuple[int, int]]:
+    """Unit kernel reporting each unit's first draw and sample count."""
+    return [(int(generator.integers(1_000_000)), n) for generator, n in units]
 
 
 def _pid_worker(_task: int) -> int:
@@ -114,3 +121,21 @@ class TestEngine:
 
     def test_zero_tasks(self):
         assert run_seeded_tasks(_sum_of_uniform_counts, 0, 1, payload=0, jobs=2) == []
+
+    def test_single_stream_runs_one_unit_in_process(self):
+        rng = np.random.default_rng(5)
+        chunks = run_seeded_tasks(_unit_layout, 10, rng, lanes=4)
+        assert chunks == [[(int(np.random.default_rng(5).integers(1_000_000)), 10)]]
+
+    def test_split_stream_units_follow_lanes(self):
+        # Unit i draws from child stream (root, i) and holds min(lanes, rest)
+        # samples, whatever the chunk layout.
+        expected = [
+            (int(child_generator(seed_key(7), index).integers(1_000_000)), n)
+            for index, n in enumerate((4, 4, 2))
+        ]
+        for num_chunks in (1, 2, 3):
+            chunks = run_seeded_tasks(
+                _unit_layout, 10, 7, lanes=4, jobs=1, num_chunks=num_chunks
+            )
+            assert [unit for chunk in chunks for unit in chunk] == expected

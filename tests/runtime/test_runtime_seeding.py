@@ -7,12 +7,7 @@ import pytest
 
 from repro.diffusion.random_source import RandomSource
 from repro.exceptions import InvalidParameterError
-from repro.runtime.seeding import (
-    child_generator,
-    child_sequence,
-    child_sources,
-    seed_key,
-)
+from repro.runtime.seeding import child_generator, child_sequence, seed_key
 
 
 class TestSeedKey:
@@ -63,11 +58,3 @@ class TestChildDerivation:
             derived = child_sequence(key, index)
             assert derived.entropy == child.entropy
             assert tuple(derived.spawn_key) == tuple(child.spawn_key)
-
-    def test_child_sources_wraps_random_source(self):
-        sources = child_sources(9, 3)
-        assert len(sources) == 3
-        assert all(isinstance(source, RandomSource) for source in sources)
-        again = child_sources(9, 3)
-        for first, second in zip(sources, again):
-            assert first.uniform() == second.uniform()
