@@ -75,11 +75,12 @@ def celf_maximize(
         raise InvalidParameterError(
             f"k ({k}) exceeds the number of vertices ({graph.num_vertices})"
         )
-    resolved = resolve_context(context, seed=seed)
-    seed = resolved.seed
+    context = resolve_context(context)
+    if seed is None:
+        seed = context.seed
     from ..obs import as_telemetry
 
-    tel = as_telemetry(resolved.telemetry)
+    tel = as_telemetry(context.telemetry)
     source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
     estimator_rng, shuffle_rng = source.spawn(2)
     with tel.span("celf.build"):

@@ -205,11 +205,12 @@ def greedy_maximize(
         Chosen seeds in selection order plus estimator cost accounting.
     """
     require_positive_int(k, "k")
-    resolved = resolve_context(context, seed=seed)
-    seed = resolved.seed
+    context = resolve_context(context)
+    if seed is None:
+        seed = context.seed
     from ..obs import as_telemetry
 
-    tel = as_telemetry(resolved.telemetry)
+    tel = as_telemetry(context.telemetry)
     source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
     estimator_rng, shuffle_rng = source.spawn(2)
 

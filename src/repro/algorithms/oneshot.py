@@ -18,6 +18,7 @@ Properties relevant to the paper's findings:
 
 from __future__ import annotations
 
+from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
 from ..graphs.influence_graph import InfluenceGraph
@@ -32,18 +33,20 @@ class OneshotEstimator(InfluenceEstimator):
     num_samples:
         ``beta``: the number of cascade simulations per Estimate call.
     marginal:
-        When ``True`` (default) Estimate returns the estimated influence of
-        ``S + v``; the greedy argmax is identical to using the marginal gain,
-        because the ``Inf(S)`` term is constant across candidates within one
-        iteration (the paper notes "the results will be the same regardless").
-    model:
-        Diffusion model whose forward cascades are simulated (name, instance,
-        or ``None`` for the paper's independent cascade).
-    batch_mode:
-        ``"bitparallel"`` runs each Estimate's simulations 64 worlds per
-        machine word (opt-in fast path with its own draw-order contract —
-        see :mod:`repro.diffusion.bitparallel`); the default ``None`` means
-        ``"scalar"``.
+        When ``True`` Estimate returns the marginal gain of ``v`` over ``S``;
+        by default it returns the estimated influence of ``S + v``.  The
+        greedy argmax is the same either way, because the ``Inf(S)`` term is
+        constant across candidates within one iteration (the paper notes
+        "the results will be the same regardless").
+    context:
+        Optional :class:`~repro.context.RunContext`.  Oneshot reads two of its
+        fields: ``model``, the diffusion model whose forward cascades are
+        simulated (``None`` for the paper's independent cascade), and
+        ``batch_mode``, where ``"bitparallel"`` runs each Estimate's
+        simulations 64 worlds per machine word (opt-in fast path with its own
+        draw-order contract — see :mod:`repro.diffusion.bitparallel`;
+        ``None`` means ``"scalar"``).  Estimate calls are serial, so ``jobs``
+        and ``executor`` are not read.
     """
 
     approach = "oneshot"
@@ -54,15 +57,15 @@ class OneshotEstimator(InfluenceEstimator):
         num_samples: int,
         *,
         marginal: bool = False,
-        model: "str | DiffusionModel | None" = None,
-        batch_mode: str | None = None,
+        context: RunContext | None = None,
     ) -> None:
         super().__init__(num_samples)
+        context = resolve_context(context)
         self._marginal = bool(marginal)
-        self._model = resolve_model(model)
+        self._model = resolve_model(context.model)
         from ..diffusion.bitparallel import resolve_batch_mode
 
-        self._batch_mode = resolve_batch_mode(batch_mode)
+        self._batch_mode = resolve_batch_mode(context.batch_mode)
         self._rng: RandomSource | None = None
         self._current_seeds: tuple[int, ...] = ()
         self._baseline_estimate = 0.0

@@ -20,6 +20,7 @@ The sample size is the total number of vertices stored over all RR sets,
 
 from __future__ import annotations
 
+from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
 from ..diffusion.reverse import RRSetCollection
@@ -31,10 +32,15 @@ from .framework import InfluenceEstimator
 class RISEstimator(InfluenceEstimator):
     """RR-set coverage estimator (sample number ``theta``).
 
-    ``model`` selects the diffusion model whose RR sets are generated (name,
-    instance, or ``None`` for the paper's independent cascade); the coverage
-    machinery is model-agnostic because every model returns the shared
-    :class:`~repro.diffusion.reverse.RRSet` type.
+    ``context`` is an optional :class:`~repro.context.RunContext`; RIS reads
+    four of its fields.  ``model`` selects the diffusion model whose RR sets
+    are generated (``None`` for the paper's independent cascade); the
+    coverage machinery is model-agnostic because every model returns the
+    shared :class:`~repro.diffusion.reverse.RRSet` type.  ``jobs``/``executor``
+    parallelise Build under the runtime's split-stream contract
+    (bit-identical for any worker count), and ``batch_mode="bitparallel"``
+    generates the sets 64 worlds per machine word (see
+    :mod:`repro.diffusion.bitparallel`; ``None`` means ``"scalar"``).
     """
 
     approach = "ris"
@@ -44,22 +50,17 @@ class RISEstimator(InfluenceEstimator):
         self,
         num_samples: int,
         *,
-        model: "str | DiffusionModel | None" = None,
-        jobs: int | None = None,
-        executor: "Executor | None" = None,
-        batch_mode: str | None = None,
+        context: RunContext | None = None,
     ) -> None:
         super().__init__(num_samples)
-        self._model = resolve_model(model)
+        context = resolve_context(context)
+        self._model = resolve_model(context.model)
         self._collection: RRSetCollection | None = None
-        # Optional parallel Build (see repro.runtime): RR sets are generated
-        # under the split-stream contract, bit-identical for any worker count.
-        self._jobs = jobs
-        self._executor = executor
+        self._jobs = context.jobs
+        self._executor = context.executor
         from ..diffusion.bitparallel import resolve_batch_mode
 
-        # Resolved eagerly so a bad value fails at construction, not in build.
-        self._batch_mode = resolve_batch_mode(batch_mode)
+        self._batch_mode = resolve_batch_mode(context.batch_mode)
 
     @property
     def model(self) -> DiffusionModel:
@@ -78,24 +79,24 @@ class RISEstimator(InfluenceEstimator):
     def build(self, graph: InfluenceGraph, rng: RandomSource) -> None:
         """Generate ``theta`` RR sets by reverse simulation.
 
-        Sampling feeds the indexed collection directly through the batched
-        entry point (:meth:`RRSetCollection.from_sampling`), amortizing
-        per-set overhead while keeping the draws byte-identical to ``theta``
-        single :meth:`DiffusionModel.sample_rr_set` calls.
+        Sampling goes through the model's batched generator
+        (:meth:`DiffusionModel.sample_rr_sets`), amortizing per-set overhead
+        while keeping the draws byte-identical to ``theta`` single
+        :meth:`DiffusionModel.sample_rr_set` calls.
         """
         self._model.validate(graph)
         self._reset_accounting(graph)
-        self._collection = RRSetCollection.from_sampling(
+        rr_sets = self._model.sample_rr_sets(
             graph,
             self.num_samples,
             rng,
-            model=self._model,
             cost=self._build_cost,
             sample_size=self._sample_size,
             jobs=self._jobs,
             executor=self._executor,
             batch_mode=self._batch_mode,
         )
+        self._collection = RRSetCollection(rr_sets, graph.num_vertices)
 
     def estimate(self, current_seeds: tuple[int, ...], vertex: int) -> float:
         """Marginal influence estimate ``n * (marginal coverage of vertex) / theta``.

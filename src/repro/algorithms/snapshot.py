@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import require_choice
+from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
 from ..diffusion.snapshots import (
@@ -50,11 +51,16 @@ class SnapshotEstimator(InfluenceEstimator):
         ``tau``: the number of random graphs sampled in Build.
     update_strategy:
         ``"naive"`` (Algorithm 3.3) or ``"reduce"`` (Section 3.4.3).
-    model:
-        Diffusion model whose live-edge snapshots are sampled (name,
-        instance, or ``None`` for the paper's independent cascade).  Every
+    context:
+        Optional :class:`~repro.context.RunContext`.  Snapshot reads three of
+        its fields: ``model``, the diffusion model whose live-edge snapshots
+        are sampled (``None`` for the paper's independent cascade; every
         model yields snapshots in the shared CSR representation, so the
-        reachability estimates and both Update strategies are model-agnostic.
+        reachability estimates and both Update strategies are
+        model-agnostic), and ``jobs``/``executor``, which parallelise Build
+        under the runtime's split-stream contract (bit-identical for any
+        worker count).  ``batch_mode`` is not read: the bit-parallel kernels
+        produce no live-edge graphs, so snapshots are always sampled scalar.
     """
 
     approach = "snapshot"
@@ -65,19 +71,16 @@ class SnapshotEstimator(InfluenceEstimator):
         num_samples: int,
         *,
         update_strategy: str = "naive",
-        model: "str | DiffusionModel | None" = None,
-        jobs: int | None = None,
-        executor: "Executor | None" = None,
+        context: RunContext | None = None,
     ) -> None:
         super().__init__(num_samples)
         self._update_strategy = require_choice(
             update_strategy, UPDATE_STRATEGIES, "update_strategy"
         )
-        self._model = resolve_model(model)
-        # Optional parallel Build (see repro.runtime): snapshots are sampled
-        # under the split-stream contract, bit-identical for any worker count.
-        self._jobs = jobs
-        self._executor = executor
+        context = resolve_context(context)
+        self._model = resolve_model(context.model)
+        self._jobs = context.jobs
+        self._executor = context.executor
         self._snapshots: list[Snapshot] = []
         self._current_seeds: tuple[int, ...] = ()
         # Per-snapshot cached reachability of the current seed set:

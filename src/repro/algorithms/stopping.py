@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .._validation import require_fraction, require_positive_int
+from ..context import RunContext
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
 from ..diffusion.reverse import RRSetCollection
@@ -174,7 +175,7 @@ class AdaptiveRIS:
         while True:
             rounds += 1
             greedy_rng, validation_rng = source.spawn(2)
-            estimator = RISEstimator(theta, model=self._model)
+            estimator = RISEstimator(theta, context=RunContext(model=self._model))
             result = greedy_maximize(graph, k, estimator, seed=greedy_rng)
             # Validate on an independent collection of the same size: the
             # coverage of the chosen seed set there is an unbiased estimate of

@@ -25,7 +25,7 @@ Quickstart::
     open("out.json", "w").write(result.to_json())  # machine-readable
 """
 
-from ..context import ResolvedContext, RunContext, resolve_context
+from ..context import RunContext, resolve_context
 from .results import (
     ExperimentResult,
     MaximizeResult,
@@ -55,7 +55,6 @@ from .specs import (
 __all__ = [
     "run",
     "RunContext",
-    "ResolvedContext",
     "resolve_context",
     # specs
     "GraphSpec",

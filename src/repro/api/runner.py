@@ -87,7 +87,7 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
         model=diffusion,
         context=context,
         # The estimator spec's own batch_mode wins over the context's.
-        batch_mode=spec.estimator.batch_mode or context.batch_mode,
+        batch_mode=spec.estimator.batch_mode,
     )(spec.estimator.num_samples)
     greedy = greedy_maximize(
         graph, spec.k, estimator, seed=context.seed, context=context

@@ -1,19 +1,21 @@
-"""The run context: one object for the four cross-cutting execution knobs.
+"""The run context: one object for the cross-cutting execution knobs.
 
-Every layer of the library is parameterised by the same four values — the
-PRNG ``seed``, the worker count ``jobs``, an optional caller-owned
-``executor``, and the diffusion ``model``.  Historically each entry point
-accepted them as separate keyword arguments; :class:`RunContext` collapses
-them into a single immutable object that every entry point now also accepts
-as ``context=``, and that the declarative spec layer
-(:mod:`repro.api.specs`) serializes as part of an experiment document.
+Every layer of the library is parameterised by the same values — the PRNG
+``seed``, the worker count ``jobs``, an optional caller-owned ``executor``,
+the diffusion ``model``, the simulation ``batch_mode`` and an optional
+``telemetry`` observer.  :class:`RunContext` carries them as one immutable
+object: the estimators take nothing else (``context=``), every public entry
+point accepts it as ``context=``, and the declarative spec layer
+(:mod:`repro.api.specs`) serializes it as part of an experiment document.
 
-Merge rule (implemented by :func:`resolve_context` and used identically
-everywhere): **an explicit keyword argument wins over the context field**;
-a keyword left at its ``None`` default falls back to the context, and with
-no context the historical defaults apply (seed 0, serial single-stream
-execution, independent cascade).  Passing the old kwargs and passing an
-equivalent ``RunContext`` therefore produce equal outputs by construction.
+The public entry points still take the knobs as separate keyword arguments
+too.  :func:`resolve_context` merges the two into one ``RunContext``, by one
+rule used everywhere: **an explicit keyword argument wins over the context
+field**; a keyword left at its ``None`` default falls back to the context,
+and with no context the field defaults apply (seed 0, serial single-stream
+execution, independent cascade, scalar batching).  Passing the old kwargs
+and passing an equivalent ``RunContext`` therefore produce equal outputs by
+construction.
 
 ``executor`` is a live process-pool handle and is deliberately excluded from
 serialization: :meth:`RunContext.to_dict` raises when one is attached.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Mapping
 
 from .exceptions import SpecValidationError
 
@@ -47,17 +49,6 @@ def _check_unknown_keys(data: Mapping[str, Any], allowed: set, spec_name: str) -
                 f"unknown key {key!r} for {spec_name}; "
                 f"expected one of: {', '.join(sorted(allowed))}"
             )
-
-
-class ResolvedContext(NamedTuple):
-    """The knobs after merging explicit kwargs with a :class:`RunContext`."""
-
-    seed: int
-    jobs: int | None
-    executor: Any | None
-    model: Any | None
-    telemetry: Any | None = None
-    batch_mode: str | None = None
 
 
 @dataclass(frozen=True)
@@ -166,32 +157,16 @@ class RunContext:
         return cls(**dict(data))
 
 
-def resolve_context(
-    context: RunContext | None,
-    *,
-    seed: Any | None = None,
-    jobs: int | None = None,
-    executor: Any | None = None,
-    model: Any | None = None,
-    telemetry: Any | None = None,
-    batch_mode: str | None = None,
-) -> ResolvedContext:
+def resolve_context(context: RunContext | None, **knobs: Any) -> RunContext:
     """Merge explicit per-call kwargs with an optional :class:`RunContext`.
 
-    Explicit (non-``None``) kwargs always win; ``None`` falls back to the
-    context field and finally to the historical defaults (seed ``0``,
-    serial execution, IC, no telemetry, scalar batching), so legacy call
-    sites that never pass ``context=`` behave exactly as before.
+    ``knobs`` are :class:`RunContext` field names.  Explicit (non-``None``)
+    values always win; ``None`` falls back to the context field and finally
+    to the field defaults (seed ``0``, serial execution, IC, no telemetry,
+    scalar batching), so legacy call sites that never pass ``context=``
+    behave exactly as before.  The merged context is validated like any
+    other, so a bad knob fails here whichever kwarg carried it.
     """
-    if context is None:
-        return ResolvedContext(
-            seed if seed is not None else 0, jobs, executor, model, telemetry, batch_mode
-        )
-    return ResolvedContext(
-        seed if seed is not None else context.seed,
-        jobs if jobs is not None else context.jobs,
-        executor if executor is not None else context.executor,
-        model if model is not None else context.model,
-        telemetry if telemetry is not None else context.telemetry,
-        batch_mode if batch_mode is not None else context.batch_mode,
-    )
+    base = context if context is not None else RunContext()
+    explicit = {name: value for name, value in knobs.items() if value is not None}
+    return dataclasses.replace(base, **explicit) if explicit else base

@@ -251,43 +251,6 @@ class RRSetCollection:
                 self._index[vertex].append(set_index)
                 self._coverage[vertex] += 1
 
-    @classmethod
-    def from_sampling(
-        cls,
-        graph: InfluenceGraph,
-        count: int,
-        rng: RandomSource | np.random.Generator,
-        *,
-        model: "str | DiffusionModel | None" = None,
-        cost: TraversalCost | None = None,
-        sample_size: SampleSize | None = None,
-        jobs: int | None = None,
-        executor: "Executor | None" = None,
-        batch_mode: str | None = None,
-    ) -> "RRSetCollection":
-        """Sample ``count`` RR sets and build the indexed collection directly.
-
-        The batch entry point behind :meth:`RISEstimator.build
-        <repro.algorithms.ris.RISEstimator.build>`: samples go through the
-        model's batched generator (buffer-reusing sequential kernel by
-        default, the runtime's split-stream chunks with ``jobs``/``executor``,
-        the 64-worlds-per-word kernel with ``batch_mode="bitparallel"``) and
-        feed the inverted index without an intermediate caller-side pass.
-        """
-        from .models import resolve_model
-
-        rr_sets = resolve_model(model).sample_rr_sets(
-            graph,
-            count,
-            rng,
-            cost=cost,
-            sample_size=sample_size,
-            jobs=jobs,
-            executor=executor,
-            batch_mode=batch_mode,
-        )
-        return cls(rr_sets, graph.num_vertices)
-
     # ------------------------------------------------------------------ #
     @property
     def num_total(self) -> int:

@@ -90,18 +90,15 @@ def monte_carlo_spread(
     win; ``seed`` defaults to ``0`` without either).
     """
     require_positive_int(num_simulations, "num_simulations")
-    seed, jobs, executor, model, telemetry, batch_mode = resolve_context(
-        context,
-        seed=seed,
-        jobs=jobs,
-        executor=executor,
-        model=model,
-        batch_mode=batch_mode,
+    context = resolve_context(
+        context, jobs=jobs, executor=executor, model=model, batch_mode=batch_mode
     )
+    if seed is None:
+        seed = context.seed
     from ..obs import as_telemetry
 
-    tel = as_telemetry(telemetry)
-    diffusion = resolve_model(model)
+    tel = as_telemetry(context.telemetry)
+    diffusion = resolve_model(context.model)
     diffusion.validate(graph)
     tel.incr("mc.simulations", num_simulations)
     with tel.span("mc.spread"):
@@ -110,10 +107,10 @@ def monte_carlo_spread(
             seed_set,
             num_simulations,
             seed if isinstance(seed, RandomSource) else RandomSource(seed),
-            jobs=jobs,
-            executor=executor,
-            telemetry=telemetry,
-            batch_mode=batch_mode,
+            jobs=context.jobs,
+            executor=context.executor,
+            telemetry=context.telemetry,
+            batch_mode=context.batch_mode,
         )
     mean = total / num_simulations
     variance = max(0.0, total_squared / num_simulations - mean * mean)

@@ -98,7 +98,7 @@ class RRPoolOracle:
         context: RunContext | None = None,
         batch_mode: str | None = None,
     ) -> None:
-        seed, jobs, executor, model, telemetry, batch_mode = resolve_context(
+        context = resolve_context(
             context,
             seed=seed,
             jobs=jobs,
@@ -108,13 +108,13 @@ class RRPoolOracle:
         )
         from ..obs import as_telemetry
 
-        tel = as_telemetry(telemetry)
+        tel = as_telemetry(context.telemetry)
         self._graph = graph
-        self._model = resolve_model(model)
+        self._model = resolve_model(context.model)
         self._model.validate(graph)
         self._pool_size = require_positive_int(pool_size, "pool_size")
         self._membership: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-        if jobs is None and executor is None:
+        if context.jobs is None and context.executor is None:
             # Single-stream path: generate in bounded batches (whole 64-world
             # words under batch_mode="bitparallel"; the draws equal one big
             # call) and discard each batch once indexed, so peak memory stays
@@ -127,7 +127,7 @@ class RRPoolOracle:
             # Split-stream path: one dispatch for the whole pool, so a
             # parallel build pays for one round of worker tasks.
             batches = [self._pool_size]
-        rng = RandomSource(seed)
+        rng = RandomSource(context.seed)
         total_size = 0
         pool_index = 0
         with tel.span("oracle.build"):
@@ -136,10 +136,10 @@ class RRPoolOracle:
                     graph,
                     batch,
                     rng,
-                    jobs=jobs,
-                    executor=executor,
-                    telemetry=telemetry,
-                    batch_mode=batch_mode,
+                    jobs=context.jobs,
+                    executor=context.executor,
+                    telemetry=context.telemetry,
+                    batch_mode=context.batch_mode,
                 ):
                     total_size += rr_set.size
                     for vertex in rr_set.vertices:

@@ -19,12 +19,7 @@ from .distributions import (
     mean_versus_statistics,
     near_optimal_probability,
 )
-from .factories import (
-    PAPER_APPROACHES,
-    available_approaches,
-    estimator_factory,
-    make_estimator,
-)
+from .factories import PAPER_APPROACHES, available_approaches, estimator_factory
 from .reporting import ascii_sparkline, format_multi_series, format_series, format_table
 from .seed_distribution import SeedSetDistribution, entropy_of_counts, shannon_entropy
 from .sweeps import SweepResult, powers_of_two, sweep_sample_numbers
@@ -78,7 +73,6 @@ __all__ = [
     "PAPER_APPROACHES",
     "available_approaches",
     "estimator_factory",
-    "make_estimator",
     "format_table",
     "format_series",
     "format_multi_series",

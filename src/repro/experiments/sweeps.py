@@ -123,7 +123,7 @@ def sweep_sample_numbers(
     """
     require_positive_int(k, "k")
     require_positive_int(num_trials, "num_trials")
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    context = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
@@ -137,20 +137,20 @@ def sweep_sample_numbers(
     from ..obs import as_telemetry
     from ..runtime.engine import executor_scope
 
-    tel = as_telemetry(telemetry)
+    tel = as_telemetry(context.telemetry)
     trial_sets: dict[int, TrialSet] = {}
     label = approach
     grid = sorted(set(int(s) for s in sample_numbers))
-    check_model_consistency(graph, estimator_factory, grid[0], oracle, model, "sweep")
+    check_model_consistency(graph, estimator_factory, grid[0], oracle, context.model, "sweep")
     tel.incr("sweep.points", len(grid))
-    if jobs is None and executor is None:
+    if context.jobs is None and context.executor is None:
         shared_scope = contextlib.nullcontext(None)
     else:
-        shared_scope = executor_scope(jobs, executor)
+        shared_scope = executor_scope(context.jobs, context.executor)
     with shared_scope as shared_executor:
         for index, num_samples in enumerate(grid):
             with tel.span("sweep.point"):
-                # repro-lint: allow[CTX001] context was flattened by
+                # repro-lint: allow[CTX001] context was merged by
                 # resolve_context above; jobs became the shared executor and
                 # model was bound into estimator_factory/oracle up front.
                 trial_set = run_trials(
@@ -163,10 +163,10 @@ def sweep_sample_numbers(
                     # Distinct derived seed per grid point keeps trials
                     # independent across sample numbers while remaining
                     # reproducible.
-                    experiment_seed=experiment_seed * 100_003 + index,
+                    experiment_seed=context.seed * 100_003 + index,
                     approach=approach,
                     executor=shared_executor,
-                    telemetry=telemetry,
+                    telemetry=context.telemetry,
                 )
             trial_sets[num_samples] = trial_set
             label = trial_set.approach

@@ -116,7 +116,7 @@ def per_sample_traversal_cost(
     (jobs-deterministic because the rows are bit-identical).
     """
     require_positive_int(num_repetitions, "num_repetitions")
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    context = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
@@ -126,16 +126,18 @@ def per_sample_traversal_cost(
     )
     from ..obs import as_telemetry
 
-    tel = as_telemetry(telemetry)
-    if model is not None:
-        resolve_model(model).validate(graph)
+    tel = as_telemetry(context.telemetry)
+    if context.model is not None:
+        resolve_model(context.model).validate(graph)
     rep_seeds = [
-        experiment_seed * 1_000 + repetition for repetition in range(num_repetitions)
+        context.seed * 1_000 + repetition for repetition in range(num_repetitions)
     ]
     from ..runtime.chunking import chunk_spans, default_num_chunks
     from ..runtime.engine import executor_scope, instrumented_map
 
-    with tel.span("traversal.approach"), executor_scope(jobs, executor) as resolved:
+    with tel.span("traversal.approach"), executor_scope(
+        context.jobs, context.executor
+    ) as resolved:
         spans = chunk_spans(
             num_repetitions, default_num_chunks(num_repetitions, resolved.jobs)
         )
@@ -146,7 +148,7 @@ def per_sample_traversal_cost(
         rows = [
             row
             for chunk in instrumented_map(
-                resolved, _repetition_worker, tasks, telemetry=telemetry
+                resolved, _repetition_worker, tasks, telemetry=context.telemetry
             )
             for row in chunk
         ]
@@ -195,7 +197,7 @@ def traversal_cost_table(
     """
     from ..runtime.engine import executor_scope
 
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    context = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
@@ -203,12 +205,12 @@ def traversal_cost_table(
         model=model,
         telemetry=telemetry,
     )
-    if model is not None:
-        resolve_model(model).validate(graph)
+    if context.model is not None:
+        resolve_model(context.model).validate(graph)
     rows = []
-    with executor_scope(jobs, executor) as resolved:
+    with executor_scope(context.jobs, context.executor) as resolved:
         for label, factory in factories.items():
-            # repro-lint: allow[CTX001] context was flattened by resolve_context
+            # repro-lint: allow[CTX001] context was merged by resolve_context
             # above; jobs became the scoped executor and model was validated
             # once for the whole table.
             row = per_sample_traversal_cost(
@@ -217,9 +219,9 @@ def traversal_cost_table(
                 k=k,
                 num_samples=num_samples,
                 num_repetitions=num_repetitions,
-                experiment_seed=experiment_seed,
+                experiment_seed=context.seed,
                 executor=resolved,
-                telemetry=telemetry,
+                telemetry=context.telemetry,
             )
             # Trust the estimator's own approach label but fall back to the key.
             if row.approach == "unknown":

@@ -224,7 +224,7 @@ def run_trials(
     require_positive_int(k, "k")
     require_positive_int(num_samples, "num_samples")
     require_positive_int(num_trials, "num_trials")
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    context = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
@@ -234,22 +234,24 @@ def run_trials(
     )
     from ..obs import as_telemetry
 
-    tel = as_telemetry(telemetry)
-    check_model_consistency(graph, estimator_factory, num_samples, oracle, model, "trials")
+    tel = as_telemetry(context.telemetry)
+    check_model_consistency(
+        graph, estimator_factory, num_samples, oracle, context.model, "trials"
+    )
     if oracle.graph.num_vertices != graph.num_vertices:
         raise ExperimentConfigurationError(
             "oracle was built for a graph with a different number of vertices"
         )
 
-    seeds = trial_seeds(experiment_seed, num_trials)
+    seeds = trial_seeds(context.seed, num_trials)
     with tel.span("trials.run"):
-        if jobs is None and executor is None:
+        if context.jobs is None and context.executor is None:
             pairs = _run_trial_chunk((graph, k, estimator_factory, num_samples, seeds))
         else:
             from ..runtime.chunking import chunk_spans, default_num_chunks
             from ..runtime.engine import executor_scope, instrumented_map
 
-            with executor_scope(jobs, executor) as resolved:
+            with executor_scope(context.jobs, context.executor) as resolved:
                 spans = chunk_spans(num_trials, default_num_chunks(num_trials, resolved.jobs))
                 tasks = [
                     (graph, k, estimator_factory, num_samples, seeds[start:stop])
@@ -258,7 +260,7 @@ def run_trials(
                 pairs = [
                     pair
                     for chunk in instrumented_map(
-                        resolved, _run_trial_chunk, tasks, telemetry=telemetry
+                        resolved, _run_trial_chunk, tasks, telemetry=context.telemetry
                     )
                     for pair in chunk
                 ]

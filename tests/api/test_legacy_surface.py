@@ -19,7 +19,7 @@ from repro.algorithms.framework import greedy_maximize
 from repro.algorithms.ris import RISEstimator
 from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.estimation.oracle import RRPoolOracle
-from repro.experiments.factories import estimator_factory, make_estimator
+from repro.experiments.factories import estimator_factory
 from repro.experiments.traversal import traversal_cost_table
 from repro.experiments.trials import run_trials
 
@@ -100,8 +100,8 @@ class TestKwargContextEquivalence:
         assert legacy == via_context
 
     def test_estimator_factory_binding(self, graph):
-        legacy = make_estimator("ris", 64, jobs=1, model="ic")
-        via_context = make_estimator("ris", 64, context=RunContext(jobs=1, model="ic"))
+        legacy = estimator_factory("ris", jobs=1, model="ic")(64)
+        via_context = estimator_factory("ris", context=RunContext(jobs=1, model="ic"))(64)
         result_legacy = greedy_maximize(graph, 1, legacy, seed=2)
         result_context = greedy_maximize(graph, 1, via_context, seed=2)
         assert result_legacy == result_context

@@ -454,15 +454,15 @@ class TestSeams:
         assert spec.batch_mode == "bitparallel"
 
     def test_factory_binds_batch_mode_for_batch_aware_approaches(self):
-        from repro.experiments.factories import make_estimator
+        from repro.experiments.factories import estimator_factory
 
-        ris = make_estimator("ris", 16, batch_mode="bitparallel")
+        ris = estimator_factory("ris", batch_mode="bitparallel")(16)
         assert ris._batch_mode == "bitparallel"
-        oneshot = make_estimator("oneshot", 16, batch_mode="bitparallel")
+        oneshot = estimator_factory("oneshot", batch_mode="bitparallel")(16)
         assert oneshot._batch_mode == "bitparallel"
         # Structural heuristics and snapshots ignore the knob entirely.
-        make_estimator("degree", 16, batch_mode="bitparallel")
-        make_estimator("snapshot", 16, batch_mode="bitparallel")
+        estimator_factory("degree", batch_mode="bitparallel")(16)
+        estimator_factory("snapshot", batch_mode="bitparallel")(16)
 
     def test_maximize_runs_end_to_end_bitparallel(self, karate):
         import repro

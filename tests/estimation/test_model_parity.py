@@ -17,6 +17,7 @@ import pytest
 from repro.algorithms.framework import greedy_maximize
 from repro.algorithms.ris import RISEstimator
 from repro.algorithms.snapshot import SnapshotEstimator
+from repro.context import RunContext
 from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
 from repro.estimation.monte_carlo import monte_carlo_spread
@@ -79,14 +80,14 @@ class TestEstimatorParity:
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_ris_estimator_matches_exact(self, chain, model):
         exact = INDEPENDENT_CASCADE.exact_spread(chain, (0,))
-        estimator = RISEstimator(20_000, model=model)
+        estimator = RISEstimator(20_000, context=RunContext(model=model))
         estimator.build(chain, RandomSource(3))
         assert estimator.spread((0,)) == pytest.approx(exact, rel=0.05)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_snapshot_estimator_matches_exact(self, chain, model):
         exact = INDEPENDENT_CASCADE.exact_spread(chain, (0,))
-        estimator = SnapshotEstimator(8000, model=model)
+        estimator = SnapshotEstimator(8000, context=RunContext(model=model))
         estimator.build(chain, RandomSource(4))
         assert estimator.spread((0,)) == pytest.approx(exact, rel=0.05)
 
@@ -103,5 +104,7 @@ class TestEstimatorParity:
     def test_greedy_finds_the_root(self, out_tree, model):
         # The root dominates every other vertex on an out-tree, so both
         # models must select it regardless of sampling noise.
-        result = greedy_maximize(out_tree, 1, RISEstimator(2000, model=model), seed=5)
+        result = greedy_maximize(
+            out_tree, 1, RISEstimator(2000, context=RunContext(model=model)), seed=5
+        )
         assert result.seed_set == (0,)

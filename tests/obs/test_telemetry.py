@@ -7,12 +7,8 @@ import pickle
 import pytest
 
 from repro.diffusion.costs import CostReport, SampleSize, TraversalCost
-from repro.diffusion.random_source import RandomSource
-from repro.diffusion.reverse import sample_rr_set
-from repro.graphs.generators import path
 from repro.obs import (
     NULL_TELEMETRY,
-    CounterCost,
     NullTelemetry,
     Telemetry,
     TelemetrySnapshot,
@@ -152,28 +148,6 @@ class TestCostBridge:
             "sample.vertices": 7,
             "sample.edges": 3,
         }
-        assert tel.traversal_view() == TraversalCost(11, 29)
-
-    def test_counter_cost_matches_traversal_cost_on_a_real_kernel(self):
-        graph = path(6)
-        legacy = TraversalCost()
-        legacy_rr = sample_rr_set(graph, RandomSource(5), cost=legacy)
-        tel = Telemetry()
-        counting = tel.cost("rr")
-        counted_rr = sample_rr_set(graph, RandomSource(5), cost=counting)
-        assert counted_rr.vertices == legacy_rr.vertices
-        assert counting.vertices == legacy.vertices
-        assert counting.edges == legacy.edges
-        assert counting.total == legacy.total
-        assert counting.snapshot() == TraversalCost(legacy.vertices, legacy.edges)
-        assert tel.traversal_view("rr") == legacy
-
-    def test_counter_cost_merge_duck_types_traversal_cost(self):
-        tel = Telemetry()
-        cost = CounterCost(tel)
-        cost.merge(TraversalCost(4, 9))
-        cost.add_vertices(1)
-        assert (cost.vertices, cost.edges) == (5, 9)
 
 
 class TestSnapshotMerge:
@@ -241,8 +215,6 @@ class TestNullTelemetry:
         assert tel.span_table() == []
         assert tel.to_dict() == {}
         assert tel.snapshot() == TelemetrySnapshot()
-        assert tel.cost().total == 0
-        assert tel.traversal_view() == TraversalCost()
 
     def test_as_telemetry_passthrough_and_rejection(self):
         live = Telemetry()

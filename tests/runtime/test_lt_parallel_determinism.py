@@ -15,6 +15,7 @@ import pytest
 from repro.algorithms.framework import greedy_maximize
 from repro.algorithms.ris import RISEstimator
 from repro.algorithms.snapshot import SnapshotEstimator
+from repro.context import RunContext
 from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.models import LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
@@ -88,19 +89,31 @@ class TestLTOracleAndEstimatorDeterminism:
 
     def test_ris_estimator_greedy_bit_identical(self, karate_iwc):
         serial = greedy_maximize(
-            karate_iwc, 3, RISEstimator(256, model="lt", jobs=1), seed=21
+            karate_iwc,
+            3,
+            RISEstimator(256, context=RunContext(model="lt", jobs=1)),
+            seed=21,
         )
         parallel = greedy_maximize(
-            karate_iwc, 3, RISEstimator(256, model="lt", jobs=JOBS), seed=21
+            karate_iwc,
+            3,
+            RISEstimator(256, context=RunContext(model="lt", jobs=JOBS)),
+            seed=21,
         )
         assert serial == parallel
 
     def test_snapshot_estimator_greedy_bit_identical(self, karate_iwc):
         serial = greedy_maximize(
-            karate_iwc, 2, SnapshotEstimator(16, model="lt", jobs=1), seed=21
+            karate_iwc,
+            2,
+            SnapshotEstimator(16, context=RunContext(model="lt", jobs=1)),
+            seed=21,
         )
         parallel = greedy_maximize(
-            karate_iwc, 2, SnapshotEstimator(16, model="lt", jobs=JOBS), seed=21
+            karate_iwc,
+            2,
+            SnapshotEstimator(16, context=RunContext(model="lt", jobs=JOBS)),
+            seed=21,
         )
         assert serial == parallel
 

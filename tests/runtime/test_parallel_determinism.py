@@ -16,6 +16,7 @@ import pytest
 from repro.algorithms.framework import greedy_maximize
 from repro.algorithms.ris import RISEstimator
 from repro.algorithms.snapshot import SnapshotEstimator
+from repro.context import RunContext
 from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import sample_rr_sets
@@ -94,14 +95,20 @@ class TestOracleAndEstimatorDeterminism:
         assert serial.average_rr_size == parallel.average_rr_size
 
     def test_ris_estimator_greedy_bit_identical(self, karate_uc01):
-        serial = greedy_maximize(karate_uc01, 3, RISEstimator(256, jobs=1), seed=21)
-        parallel = greedy_maximize(karate_uc01, 3, RISEstimator(256, jobs=JOBS), seed=21)
+        serial = greedy_maximize(
+            karate_uc01, 3, RISEstimator(256, context=RunContext(jobs=1)), seed=21
+        )
+        parallel = greedy_maximize(
+            karate_uc01, 3, RISEstimator(256, context=RunContext(jobs=JOBS)), seed=21
+        )
         assert serial == parallel
 
     def test_snapshot_estimator_greedy_bit_identical(self, karate_uc01):
-        serial = greedy_maximize(karate_uc01, 2, SnapshotEstimator(16, jobs=1), seed=21)
+        serial = greedy_maximize(
+            karate_uc01, 2, SnapshotEstimator(16, context=RunContext(jobs=1)), seed=21
+        )
         parallel = greedy_maximize(
-            karate_uc01, 2, SnapshotEstimator(16, jobs=JOBS), seed=21
+            karate_uc01, 2, SnapshotEstimator(16, context=RunContext(jobs=JOBS)), seed=21
         )
         assert serial == parallel
 
