@@ -59,23 +59,36 @@ def _resolve_instance(spec: Any) -> tuple[InfluenceGraph, DiffusionModel]:
     return graph, diffusion
 
 
-def _stats_row_worker(task: tuple[str, float]) -> dict[str, object]:
-    """Compute one dataset's statistics row (picklable worker)."""
-    name, scale = task
-    graph = load_dataset(name, scale=scale)
-    return network_statistics(graph, max_distance_sources=100).as_row()
+def _oracle(spec: Any, graph: InfluenceGraph, diffusion: DiffusionModel) -> RRPoolOracle:
+    """The shared evaluation oracle; its seed is always the run seed + 1."""
+    return RRPoolOracle(
+        graph,
+        pool_size=spec.pool_size,
+        seed=spec.context.seed + 1,
+        model=diffusion,
+        context=spec.context,
+    )
+
+
+def _stats_rows_worker(scale: float, names: list[str]) -> list[dict[str, object]]:
+    """Compute the statistics rows of a chunk of datasets (picklable worker)."""
+    return [
+        network_statistics(load_dataset(name, scale=scale), max_distance_sources=100).as_row()
+        for name in names
+    ]
 
 
 def _run_stats(spec: StatsSpec) -> StatsResult:
     names = PAPER_DATASETS if spec.dataset == "all" else (spec.dataset,)
-    rows = run_tasks(
-        _stats_row_worker,
-        [(name, float(spec.scale)) for name in names],
+    chunks = run_tasks(
+        _stats_rows_worker,
+        names,
+        payload=float(spec.scale),
         jobs=spec.context.jobs,
         executor=spec.context.executor,
         telemetry=spec.context.telemetry,
     )
-    return StatsResult(spec=spec, rows=tuple(rows))
+    return StatsResult(spec=spec, rows=tuple(row for chunk in chunks for row in chunk))
 
 
 def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
@@ -93,13 +106,7 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
         graph, spec.k, estimator, seed=context.seed, context=context
     )
     tel.record_cost(greedy.cost)
-    oracle = RRPoolOracle(
-        graph,
-        pool_size=spec.pool_size,
-        seed=context.seed + 1,
-        model=diffusion,
-        context=context,
-    )
+    oracle = _oracle(spec, graph, diffusion)
     with tel.span("oracle.score"):
         estimate = oracle.spread_with_confidence(greedy.seed_set)
     return MaximizeResult(
@@ -110,13 +117,7 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
 def _run_trials(spec: TrialsSpec) -> TrialsResult:
     graph, diffusion = _resolve_instance(spec)
     context = spec.context
-    oracle = RRPoolOracle(
-        graph,
-        pool_size=spec.pool_size,
-        seed=context.seed + 1,
-        model=diffusion,
-        context=context,
-    )
+    oracle = _oracle(spec, graph, diffusion)
     trial_set = run_trials(
         graph,
         spec.k,
@@ -137,13 +138,7 @@ def _run_trials(spec: TrialsSpec) -> TrialsResult:
 def _run_sweep(spec: SweepSpec) -> SweepResult:
     graph, diffusion = _resolve_instance(spec)
     context = spec.context
-    oracle = RRPoolOracle(
-        graph,
-        pool_size=spec.pool_size,
-        seed=context.seed + 1,
-        model=diffusion,
-        context=context,
-    )
+    oracle = _oracle(spec, graph, diffusion)
     # Parallelism is applied at the trial level (the coarsest grain); the
     # estimator factory stays serial so worker processes do not nest pools.
     sweep = sweep_sample_numbers(

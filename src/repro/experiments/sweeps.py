@@ -10,15 +10,15 @@ configuration.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 from .._validation import require_non_negative_int, require_positive_int
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel
 from ..estimation.oracle import RRPoolOracle
-from ..exceptions import ExperimentConfigurationError
+from ..exceptions import ExperimentConfigurationError, InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
 from .distributions import InfluenceDistribution
 from .trials import EstimatorFactory, TrialSet, check_model_consistency, run_trials
@@ -92,6 +92,29 @@ class SweepResult:
         return self.trial_sets[self.sample_numbers[-1]]
 
 
+def _sample_grid(sample_numbers: Sequence[int]) -> list[int]:
+    """The sorted distinct grid; every entry must be a positive integer.
+
+    Python and numpy integers are accepted; ``bool``, ``float`` and ``str``
+    entries (and a bare ``str`` in place of the sequence) are rejected
+    rather than coerced, so ``[2.5]`` cannot silently run ``2``.
+    """
+    if isinstance(sample_numbers, str):
+        raise InvalidParameterError(
+            f"sample_numbers must be a sequence of integers, got {sample_numbers!r}"
+        )
+    grid = set()
+    for s in sample_numbers:
+        if isinstance(s, bool) or not isinstance(s, Integral):
+            raise InvalidParameterError(
+                f"sample numbers must be positive integers, got {s!r}"
+            )
+        grid.add(require_positive_int(int(s), "sample number"))
+    if not grid:
+        raise ExperimentConfigurationError("sample_numbers must not be empty")
+    return sorted(grid)
+
+
 def sweep_sample_numbers(
     graph: InfluenceGraph,
     k: int,
@@ -131,8 +154,7 @@ def sweep_sample_numbers(
         model=model,
         telemetry=telemetry,
     )
-    if not sample_numbers:
-        raise ExperimentConfigurationError("sample_numbers must not be empty")
+    grid = _sample_grid(sample_numbers)
 
     from ..obs import as_telemetry
     from ..runtime.engine import executor_scope
@@ -140,14 +162,9 @@ def sweep_sample_numbers(
     tel = as_telemetry(context.telemetry)
     trial_sets: dict[int, TrialSet] = {}
     label = approach
-    grid = sorted(set(int(s) for s in sample_numbers))
     check_model_consistency(graph, estimator_factory, grid[0], oracle, context.model, "sweep")
     tel.incr("sweep.points", len(grid))
-    if context.jobs is None and context.executor is None:
-        shared_scope = contextlib.nullcontext(None)
-    else:
-        shared_scope = executor_scope(context.jobs, context.executor)
-    with shared_scope as shared_executor:
+    with executor_scope(context.jobs, context.executor) as shared_executor:
         for index, num_samples in enumerate(grid):
             with tel.span("sweep.point"):
                 # repro-lint: allow[CTX001] context was merged by

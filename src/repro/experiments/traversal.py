@@ -26,12 +26,12 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .._validation import require_positive_int
-from ..algorithms.framework import InfluenceEstimator, greedy_maximize
+from ..algorithms.framework import InfluenceEstimator
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
-from ..diffusion.random_source import RandomSource
 from ..exceptions import ExperimentConfigurationError
 from ..graphs.influence_graph import InfluenceGraph
+from .trials import greedy_runs
 
 #: Factory signature used by the traversal-cost harness.
 EstimatorFactory = Callable[[int], InfluenceEstimator]
@@ -64,28 +64,6 @@ class TraversalCostRow:
             "sample_vertices": round(self.sample_vertices, 1),
             "sample_edges": round(self.sample_edges, 1),
         }
-
-
-def _repetition_worker(
-    task: tuple[InfluenceGraph, EstimatorFactory, int, int, list[int]],
-) -> list[tuple[str, int, int, int, int]]:
-    """Run a chunk of cost-measurement repetitions (picklable worker)."""
-    graph, estimator_factory, k, num_samples, rep_seeds = task
-    rows: list[tuple[str, int, int, int, int]] = []
-    for rep_seed in rep_seeds:
-        estimator = estimator_factory(num_samples)
-        result = greedy_maximize(graph, k, estimator, seed=RandomSource(rep_seed))
-        cost = result.cost
-        rows.append(
-            (
-                estimator.approach,
-                cost.traversal.vertices,
-                cost.traversal.edges,
-                cost.sample_size.vertices,
-                cost.sample_size.edges,
-            )
-        )
-    return rows
 
 
 def per_sample_traversal_cost(
@@ -132,46 +110,22 @@ def per_sample_traversal_cost(
     rep_seeds = [
         context.seed * 1_000 + repetition for repetition in range(num_repetitions)
     ]
-    from ..runtime.chunking import chunk_spans, default_num_chunks
-    from ..runtime.engine import executor_scope, instrumented_map
-
-    with tel.span("traversal.approach"), executor_scope(
-        context.jobs, context.executor
-    ) as resolved:
-        spans = chunk_spans(
-            num_repetitions, default_num_chunks(num_repetitions, resolved.jobs)
+    with tel.span("traversal.approach"):
+        results = greedy_runs(
+            graph, k, estimator_factory, num_samples, rep_seeds, context
         )
-        tasks = [
-            (graph, estimator_factory, k, num_samples, rep_seeds[start:stop])
-            for start, stop in spans
-        ]
-        rows = [
-            row
-            for chunk in instrumented_map(
-                resolved, _repetition_worker, tasks, telemetry=context.telemetry
-            )
-            for row in chunk
-        ]
 
-    if tel.enabled:
-        tel.incr("traversal.repetitions", len(rows))
-        for _, vertices, edges, stored_vertices, stored_edges in rows:
-            tel.incr("traversal.vertices", vertices)
-            tel.incr("traversal.edges", edges)
-            tel.incr("sample.vertices", stored_vertices)
-            tel.incr("sample.edges", stored_edges)
-    approach = rows[-1][0] if rows else "unknown"
-    vertex_costs = [row[1] for row in rows]
-    edge_costs = [row[2] for row in rows]
-    sample_vertices = [row[3] for row in rows]
-    sample_edges = [row[4] for row in rows]
+    tel.incr("traversal.repetitions", len(results))
+    for result in results:
+        tel.record_cost(result.cost)
+    costs = [result.cost for result in results]
     return TraversalCostRow(
         graph_name=graph.name,
-        approach=approach,
-        vertex_cost=float(np.mean(vertex_costs)),
-        edge_cost=float(np.mean(edge_costs)),
-        sample_vertices=float(np.mean(sample_vertices)),
-        sample_edges=float(np.mean(sample_edges)),
+        approach=results[-1].approach,
+        vertex_cost=float(np.mean([cost.traversal.vertices for cost in costs])),
+        edge_cost=float(np.mean([cost.traversal.edges for cost in costs])),
+        sample_vertices=float(np.mean([cost.sample_size.vertices for cost in costs])),
+        sample_edges=float(np.mean([cost.sample_size.edges for cost in costs])),
         num_repetitions=num_repetitions,
     )
 
@@ -209,7 +163,7 @@ def traversal_cost_table(
         resolve_model(context.model).validate(graph)
     rows = []
     with executor_scope(context.jobs, context.executor) as resolved:
-        for label, factory in factories.items():
+        for factory in factories.values():
             # repro-lint: allow[CTX001] context was merged by resolve_context
             # above; jobs became the scoped executor and model was validated
             # once for the whole table.
@@ -223,17 +177,6 @@ def traversal_cost_table(
                 executor=resolved,
                 telemetry=context.telemetry,
             )
-            # Trust the estimator's own approach label but fall back to the key.
-            if row.approach == "unknown":
-                row = TraversalCostRow(
-                    graph_name=row.graph_name,
-                    approach=label,
-                    vertex_cost=row.vertex_cost,
-                    edge_cost=row.edge_cost,
-                    sample_vertices=row.sample_vertices,
-                    sample_edges=row.sample_edges,
-                    num_repetitions=row.num_repetitions,
-                )
             rows.append(row)
     return rows
 

@@ -143,22 +143,50 @@ class TrialSet:
 
 
 def _run_trial_chunk(
-    task: tuple[InfluenceGraph, int, EstimatorFactory, int, Sequence[int]],
-) -> list[tuple[int, GreedyResult]]:
-    """Run one chunk of greedy trials; each trial is fixed by its own seed.
+    payload: tuple[InfluenceGraph, int, EstimatorFactory, int],
+    chunk_seeds: Sequence[int],
+) -> list[GreedyResult]:
+    """Run one chunk of greedy runs; each run is fixed by its own seed.
 
     Module-level so it pickles into worker processes.  Oracle scoring stays
     in the parent process: shipping the shared RR pool to every worker would
     dwarf the trial work, and parent-side scoring guarantees identical seed
     sets receive identical scores no matter where they were computed.
     """
-    graph, k, estimator_factory, num_samples, chunk_seeds = task
-    results: list[tuple[int, GreedyResult]] = []
-    for trial_seed in chunk_seeds:
-        estimator = estimator_factory(num_samples)
-        result = greedy_maximize(graph, k, estimator, seed=RandomSource(trial_seed))
-        results.append((trial_seed, result))
-    return results
+    graph, k, estimator_factory, num_samples = payload
+    return [
+        greedy_maximize(
+            graph, k, estimator_factory(num_samples), seed=RandomSource(run_seed)
+        )
+        for run_seed in chunk_seeds
+    ]
+
+
+def greedy_runs(
+    graph: InfluenceGraph,
+    k: int,
+    estimator_factory: EstimatorFactory,
+    num_samples: int,
+    seeds: Sequence[int],
+    context: RunContext,
+) -> list[GreedyResult]:
+    """One greedy run per seed, in seed order, each with a fresh estimator.
+
+    The loop shared by the Section 4 trials and the Table 8 repetitions,
+    mapped through :func:`repro.runtime.engine.run_tasks`; every run is fixed
+    by its own seed, so results are bit-identical for any worker count.
+    """
+    from ..runtime.engine import run_tasks
+
+    chunks = run_tasks(
+        _run_trial_chunk,
+        seeds,
+        payload=(graph, k, estimator_factory, num_samples),
+        jobs=context.jobs,
+        executor=context.executor,
+        telemetry=context.telemetry,
+    )
+    return [result for chunk in chunks for result in chunk]
 
 
 def run_trials(
@@ -219,7 +247,7 @@ def run_trials(
         ``trials.count`` counter, mirrors every trial's cost report into the
         ``traversal.*``/``sample.*`` counters (deterministic across ``jobs``
         because trial outcomes are bit-identical), and captures the runtime
-        dispatch metrics on the parallel path.
+        dispatch metrics.
     """
     require_positive_int(k, "k")
     require_positive_int(num_samples, "num_samples")
@@ -245,30 +273,12 @@ def run_trials(
 
     seeds = trial_seeds(context.seed, num_trials)
     with tel.span("trials.run"):
-        if context.jobs is None and context.executor is None:
-            pairs = _run_trial_chunk((graph, k, estimator_factory, num_samples, seeds))
-        else:
-            from ..runtime.chunking import chunk_spans, default_num_chunks
-            from ..runtime.engine import executor_scope, instrumented_map
-
-            with executor_scope(context.jobs, context.executor) as resolved:
-                spans = chunk_spans(num_trials, default_num_chunks(num_trials, resolved.jobs))
-                tasks = [
-                    (graph, k, estimator_factory, num_samples, seeds[start:stop])
-                    for start, stop in spans
-                ]
-                pairs = [
-                    pair
-                    for chunk in instrumented_map(
-                        resolved, _run_trial_chunk, tasks, telemetry=context.telemetry
-                    )
-                    for pair in chunk
-                ]
+        results = greedy_runs(graph, k, estimator_factory, num_samples, seeds, context)
 
     tel.incr("trials.count", num_trials)
     label = approach
     outcomes: list[TrialOutcome] = []
-    for trial_seed, result in pairs:
+    for trial_seed, result in zip(seeds, results):
         if label is None:
             label = result.approach
         # Mirror each trial's cost accounting onto the telemetry layer: the

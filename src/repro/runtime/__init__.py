@@ -22,8 +22,12 @@ three layers:
     The :class:`Executor` protocol with two implementations —
     :class:`SerialExecutor` (in-process, zero dependencies) and
     :class:`ParallelExecutor` (a ``concurrent.futures.ProcessPoolExecutor``
-    pool) — plus the :func:`run_seeded_tasks` engine that combines all three
-    layers.
+    pool) — plus the engine that combines all three layers.  Its one chunked
+    map, :func:`run_tasks`, splits a sequence of items into contiguous
+    chunks and runs a picklable module-level ``worker(payload, chunk)`` once
+    per chunk, returning the per-chunk results in chunk order; every
+    per-item workload (sampler units via :func:`run_seeded_tasks`, greedy
+    trials, dataset statistics rows) is dispatched through it.
 
 The determinism contract
 ------------------------

@@ -1,5 +1,9 @@
 """The chunked-dispatch engine tying seeding, chunking, and executors together.
 
+:func:`run_tasks` is the one chunked map: every per-item workload hands it
+a picklable module-level ``worker(payload, chunk)`` that runs once per
+contiguous slice of the items and returns one result per chunk.
+
 :func:`run_seeded_tasks` is the one place the two seeding contracts live.
 Every plural sampler (cascades, snapshots, RR sets, Monte-Carlo spread)
 hands it a *unit kernel* ``worker(payload, units)``, where ``units`` is a
@@ -9,8 +13,8 @@ each generator in turn:
 * with ``jobs=None`` and no executor (the legacy single-stream contract) the
   kernel runs once, in-process, on the single unit ``(rng, count)``;
 * otherwise (the split-stream contract) unit ``i`` is
-  ``(child_generator(root, i), min(lanes, count - i*lanes))``, units are
-  chunked deterministically, and each chunk runs on the executor.
+  ``(child_generator(root, i), min(lanes, count - i*lanes))``, and the unit
+  indices are mapped through :func:`run_tasks`.
 
 ``lanes`` is the seeding unit: 1 for the scalar kernels, 64 for the
 bit-parallel word (see :mod:`repro.diffusion.bitparallel`).  Because a unit's
@@ -61,19 +65,25 @@ def executor_scope(
         pool.close()
 
 
-def _invoke_seeded_chunk(task: tuple) -> Any:
-    """Derive one chunk's units from its sample span and run the kernel.
+def _invoke_chunk(task: tuple) -> Any:
+    """Run ``worker(payload, chunk)`` on one chunk task (module-level: pickles)."""
+    worker, payload, chunk = task
+    return worker(payload, chunk)
 
-    Module-level so it pickles for process pools.  ``start`` is a multiple of
-    ``lanes``, so the unit starting at sample ``index`` is unit
-    ``index // lanes`` and draws from that unit's child stream.
+
+def _seeded_chunk(payload: tuple, unit_indices: Sequence[int]) -> Any:
+    """Rebuild one chunk's split-stream units and run the unit kernel on them.
+
+    Unit ``i`` draws ``min(lanes, count - i*lanes)`` samples from its child
+    stream ``child_generator(key, i)``, so its draws depend only on
+    ``(key, i)`` — never on the chunk it landed in.
     """
-    worker, payload, key, lanes, start, stop = task
+    worker, inner, key, lanes, count = payload
     units = [
-        (child_generator(key, index // lanes), min(lanes, stop - index))
-        for index in range(start, stop, lanes)
+        (child_generator(key, index), min(lanes, count - index * lanes))
+        for index in unit_indices
     ]
-    return worker(payload, units)
+    return worker(inner, units)
 
 
 def _timed_invoke(task: tuple) -> tuple[Any, float]:
@@ -183,8 +193,8 @@ def run_seeded_tasks(
         Override the chunk count; results are identical for any value.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`; on the split-stream
-        path the dispatch is routed through :func:`instrumented_map` and a
-        ``runtime.tasks`` counter records the unit count.
+        path :func:`run_tasks` records the ``runtime.*`` dispatch metrics,
+        with ``runtime.tasks`` counting units.
 
     Returns
     -------
@@ -206,42 +216,45 @@ def run_seeded_tasks(
         )
         with timer:
             return [worker(payload, [(generator, count)])]
-    key = seed_key(rng)
-    if enabled:
-        telemetry.incr("runtime.tasks", units)  # repro-lint: allow[TEL001] logical task count; lives with the other runtime.* dispatch metrics (trace-format compat)
-    with executor_scope(jobs, executor) as resolved:
-        chunks = (
-            default_num_chunks(units, resolved.jobs)
-            if num_chunks is None
-            else require_positive_int(num_chunks, "num_chunks")
-        )
-        spans = chunk_spans(units, chunks) if units else []
-        tasks = [
-            (worker, payload, key, lanes, start * lanes, min(stop * lanes, count))
-            for start, stop in spans
-        ]
-        return instrumented_map(
-            resolved, _invoke_seeded_chunk, tasks, telemetry=telemetry
-        )
+    return run_tasks(
+        _seeded_chunk,
+        range(units),
+        payload=(worker, payload, seed_key(rng), lanes, count),
+        jobs=jobs,
+        executor=executor,
+        num_chunks=num_chunks,
+        telemetry=telemetry,
+    )
 
 
 def run_tasks(
-    worker: Callable[[Any], Any],
-    tasks: Sequence[Any],
+    worker: Callable[[Any, Sequence[Any]], Any],
+    items: Sequence[Any],
     *,
+    payload: Any = None,
     jobs: int | None = None,
     executor: Executor | None = None,
+    num_chunks: int | None = None,
     telemetry: Any = None,
 ) -> list[Any]:
-    """Map ``worker`` over explicit task descriptions (no seed splitting).
+    """Map ``worker(payload, chunk)`` over contiguous chunks of ``items``.
 
-    For workloads whose per-task randomness is already fixed by the task
-    itself (e.g. greedy trials carrying their own trial seed), this is a thin
-    ordered map over the resolved executor, instrumented when ``telemetry``
-    is enabled (see :func:`instrumented_map`).
+    ``items`` is cut into ``num_chunks`` contiguous slices (default: one
+    serial chunk, or :func:`~repro.runtime.chunking.default_num_chunks` on a
+    pool) and the picklable ``worker`` runs once per slice, with ``payload``,
+    through :func:`instrumented_map`; enabled ``telemetry`` also counts
+    ``runtime.tasks = len(items)``.  Per-chunk results come back in chunk
+    order, so a worker that is a pure function of ``(payload, item)`` gives
+    the same flattened results for any ``jobs`` and chunk count.
     """
-    tasks = list(tasks)
     if telemetry is not None and telemetry.enabled:
-        telemetry.incr("runtime.tasks", len(tasks))  # repro-lint: allow[TEL001] logical task count; lives with the other runtime.* dispatch metrics (trace-format compat)
+        telemetry.incr("runtime.tasks", len(items))  # repro-lint: allow[TEL001] logical task count; lives with the other runtime.* dispatch metrics (trace-format compat)
     with executor_scope(jobs, executor) as resolved:
-        return instrumented_map(resolved, worker, tasks, telemetry=telemetry)
+        chunks = (
+            default_num_chunks(len(items), resolved.jobs)
+            if num_chunks is None
+            else require_positive_int(num_chunks, "num_chunks")
+        )
+        spans = chunk_spans(len(items), chunks) if items else []
+        tasks = [(worker, payload, items[start:stop]) for start, stop in spans]
+        return instrumented_map(resolved, _invoke_chunk, tasks, telemetry=telemetry)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.estimation.oracle import RRPoolOracle
-from repro.exceptions import ExperimentConfigurationError
+from repro.exceptions import ExperimentConfigurationError, InvalidParameterError
 from repro.experiments.factories import estimator_factory
 from repro.experiments.sweeps import SweepResult, powers_of_two, sweep_sample_numbers
 from repro.graphs.datasets import load_dataset
@@ -97,3 +98,22 @@ class TestSweepSampleNumbers:
             graph, 1, estimator_factory("ris"), [8, 8, 16], 5, oracle=oracle
         )
         assert sweep.sample_numbers == (8, 16)
+
+    @pytest.mark.parametrize(
+        "sample_numbers",
+        [[2.5], [True], "48"],
+        ids=["float-entry", "bool-entry", "bare-str"],
+    )
+    def test_non_integer_sample_numbers_rejected(self, karate_sweep, sample_numbers):
+        graph, oracle, _ = karate_sweep
+        with pytest.raises(InvalidParameterError):
+            sweep_sample_numbers(
+                graph, 1, estimator_factory("ris"), sample_numbers, 2, oracle=oracle
+            )
+
+    def test_numpy_integer_sample_numbers_accepted(self, karate_sweep):
+        graph, oracle, _ = karate_sweep
+        sweep = sweep_sample_numbers(
+            graph, 1, estimator_factory("ris"), np.array([4, 8]), 2, oracle=oracle
+        )
+        assert sweep.sample_numbers == (4, 8)

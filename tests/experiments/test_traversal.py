@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+from repro import GraphSpec, RunContext, Telemetry, TraversalSpec
 from repro.exceptions import ExperimentConfigurationError
 from repro.experiments.factories import estimator_factory
 from repro.experiments.traversal import (
@@ -115,3 +117,36 @@ class TestEqualAccuracyCosts:
         assert {"network", "algorithm", "comparable_ratio", "cost_per_gamma"} <= set(
             rows[0].as_row()
         )
+
+
+class TestTraversalTelemetry:
+    """The Table 8 counters a traced ``traversal`` run records."""
+
+    @staticmethod
+    def _run(jobs):
+        tel = Telemetry()
+        spec = TraversalSpec(
+            graph=GraphSpec(dataset="karate", probability="uc0.1"),
+            repetitions=3,
+            context=RunContext(seed=4, jobs=jobs, telemetry=tel),
+        )
+        return repro.run(spec).rows, tel
+
+    def test_counters_equal_the_rows_totals(self):
+        rows, tel = self._run(jobs=1)
+        counters = tel.counters
+        assert counters["traversal.repetitions"] == sum(
+            row.num_repetitions for row in rows
+        )
+        assert counters["traversal.vertices"] == sum(
+            round(row.vertex_cost * row.num_repetitions) for row in rows
+        )
+        assert counters["traversal.edges"] == sum(
+            round(row.edge_cost * row.num_repetitions) for row in rows
+        )
+
+    def test_deterministic_counters_match_across_jobs(self):
+        serial_rows, serial = self._run(jobs=1)
+        parallel_rows, parallel = self._run(jobs=2)
+        assert serial_rows == parallel_rows
+        assert serial.deterministic_counters() == parallel.deterministic_counters()

@@ -40,7 +40,7 @@ def test_no_unused_suppressions_in_tree():
 #: Ceiling on inline suppressions in ``src/repro``.  Lower it when a
 #: suppression goes away with its cause; never raise it to admit a new one
 #: without removing another.
-MAX_SUPPRESSIONS = 7
+MAX_SUPPRESSIONS = 6
 
 
 def test_suppression_count_does_not_grow():

@@ -32,6 +32,16 @@ def _unit_layout(payload, units) -> list[tuple[int, int]]:
     return [(int(generator.integers(1_000_000)), n) for generator, n in units]
 
 
+def _squares(_payload, chunk) -> list[int]:
+    """Chunk worker squaring each item; module-level so it pickles."""
+    return [value * value for value in chunk]
+
+
+def _offset_items(payload: int, chunk) -> list[int]:
+    """Chunk worker adding the shared payload to each item."""
+    return [payload + value for value in chunk]
+
+
 def _pid_worker(_task: int) -> int:
     return os.getpid()
 
@@ -105,7 +115,19 @@ class TestExecutorScope:
 class TestEngine:
     def test_run_tasks_matches_serial(self):
         tasks = list(range(20))
-        assert run_tasks(_square, tasks, jobs=2) == [v * v for v in tasks]
+        chunks = run_tasks(_squares, tasks, jobs=2)
+        assert [value for chunk in chunks for value in chunk] == [v * v for v in tasks]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_tasks_invariant_to_chunk_layout(self, jobs):
+        items = list(range(7))
+        expected = [1000 + value for value in items]
+        for num_chunks in (1, 3, len(items)):
+            chunks = run_tasks(
+                _offset_items, items, payload=1000, jobs=jobs, num_chunks=num_chunks
+            )
+            assert len(chunks) == num_chunks
+            assert [value for chunk in chunks for value in chunk] == expected
 
     def test_seeded_results_invariant_to_jobs_and_chunking(self):
         def collect(**kwargs):
