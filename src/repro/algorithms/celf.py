@@ -96,11 +96,15 @@ def celf_maximize(
 
     with tel.span("celf.select"):
         # Heap entries: (-gain, staleness marker, -priority, vertex).
-        heap: list[tuple[float, int, int, int]] = []
-        for vertex in range(graph.num_vertices):
-            gain = estimator.estimate((), vertex)
-            estimate_calls += 1
-            heapq.heappush(heap, (-gain, 0, -int(priority[vertex]), vertex))
+        # The priorities are distinct, so the pop order does not depend on
+        # how the heap was built.
+        with tel.span("greedy.estimate"):
+            gains = estimator.estimate_many((), np.arange(graph.num_vertices)).tolist()
+        estimate_calls += len(gains)
+        heap: list[tuple[float, int, int, int]] = [
+            (-gain, 0, -int(priority[vertex]), vertex) for vertex, gain in enumerate(gains)
+        ]
+        heapq.heapify(heap)
 
         for iteration in range(k):
             while True:

@@ -8,6 +8,10 @@ that differs only in three procedures:
   (or the influence of ``S + v``; the greedy choice is the same either way).
 * ``Update(v)`` — incorporate the newly chosen seed into the estimator.
 
+Greedy asks for every remaining candidate's Estimate at once through
+:meth:`InfluenceEstimator.estimate_many`, so an estimator can score a whole
+iteration in one batched pass.
+
 :class:`InfluenceEstimator` is the abstract base class expressing that
 protocol, and :func:`greedy_maximize` is the framework itself, including the
 paper's tie-breaking rule: the vertex order is shuffled once up front and the
@@ -64,6 +68,20 @@ class InfluenceEstimator(abc.ABC):
     @abc.abstractmethod
     def estimate(self, current_seeds: tuple[int, ...], vertex: int) -> float:
         """Estimate the marginal influence of ``vertex`` given ``current_seeds``."""
+
+    def estimate_many(self, current_seeds: tuple[int, ...], vertices) -> np.ndarray:
+        """Estimate every vertex of ``vertices`` given ``current_seeds``.
+
+        Returns a ``float64`` array aligned with ``vertices``.  The default is
+        one :meth:`estimate` call per vertex, in order, so estimators that
+        draw randomness per call (Oneshot) consume it exactly as before;
+        estimators with a batched kernel override it with bit-identical
+        values and cost totals.
+        """
+        return np.array(
+            [self.estimate(current_seeds, int(vertex)) for vertex in vertices],
+            dtype=np.float64,
+        )
 
     @abc.abstractmethod
     def update(self, chosen_vertex: int) -> None:
@@ -237,14 +255,11 @@ def greedy_maximize(
     estimate_calls = 0
     with tel.span("greedy.select"):
         for _ in range(k):
-            current = tuple(chosen)
+            remaining = np.flatnonzero(~selected_mask[order])
             values = np.full(order.shape[0], -np.inf, dtype=np.float64)
-            for index, vertex in enumerate(order):
-                vertex = int(vertex)
-                if selected_mask[vertex]:
-                    continue
-                values[index] = estimator.estimate(current, vertex)
-                estimate_calls += 1
+            with tel.span("greedy.estimate"):
+                values[remaining] = estimator.estimate_many(tuple(chosen), order[remaining])
+            estimate_calls += int(remaining.shape[0])
             best_index = _argmax_last(values)
             best_vertex = int(order[best_index])
             chosen.append(best_vertex)

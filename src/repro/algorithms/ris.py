@@ -20,6 +20,8 @@ The sample size is the total number of vertices stored over all RR sets,
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
@@ -108,6 +110,16 @@ class RISEstimator(InfluenceEstimator):
         del current_seeds
         collection = self.collection
         return self.graph.num_vertices * collection.coverage(int(vertex)) / self.num_samples
+
+    def estimate_many(self, current_seeds: tuple[int, ...], vertices) -> np.ndarray:
+        """:meth:`estimate` of every vertex in ``vertices``, as one array expression.
+
+        ``n * coverage / theta`` with integer numerators below ``2**53`` rounds
+        exactly like the scalar Python division, so the values are bit-identical.
+        """
+        del current_seeds
+        coverage = self.collection.coverage_array()[np.asarray(vertices, dtype=np.int64)]
+        return self.graph.num_vertices * coverage / self.num_samples
 
     def update(self, chosen_vertex: int) -> None:
         """Remove RR sets containing the chosen seed (Algorithm 3.4, Update)."""

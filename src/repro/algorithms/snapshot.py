@@ -10,31 +10,42 @@ as one reason Snapshot needs far fewer samples than Oneshot in practice.
 Two Update strategies are provided:
 
 ``"naive"``
-    Update does nothing; every Estimate call re-runs reachability from
-    ``S + v``.  This matches Algorithm 3.3 verbatim and the traversal-cost
-    accounting of Table 8.
+    Update re-runs reachability from the whole seed set ``S``; every Estimate
+    of ``v`` is charged a reachability run from ``S + v``.  This matches
+    Algorithm 3.3 verbatim and the traversal-cost accounting of Table 8.
 ``"reduce"``
     The graph-reduction technique of Section 3.4.3: after choosing seed
     ``v_l``, vertices already reachable from the chosen seeds are marked as
     removed in each snapshot, so later Estimate calls traverse the smaller
     residual graph.  Estimates are unchanged; traversal cost drops.
+
+Estimate is batched: :meth:`SnapshotEstimator.estimate_many` sweeps each
+stored snapshot once with :func:`~repro.diffusion.snapshots.candidate_reach`,
+every candidate in its own bit lane, starting from the blocked set
+``B_i = reach_i(S)`` that both strategies keep.  The marginal gain of ``v``
+is the mean of ``|reach_i(v) \\ B_i|`` — the same integers the per-candidate
+BFS produced — and naive mode adds ``|B_i|`` vertices and the live out-degrees
+of ``B_i`` per candidate, so the Table 8 totals equal those of a BFS from
+``S + v``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import require_choice
+from .._validation import require_choice, require_vertex
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
 from ..diffusion.snapshots import (
     Snapshot,
+    candidate_reach,
     reachability_scratch,
     reachable_count,
+    reachable_mask,
     reachable_vertices,
 )
-from ..exceptions import EstimatorStateError
+from ..exceptions import EstimatorStateError, InvalidSeedSetError
 from ..graphs.influence_graph import InfluenceGraph
 from .framework import InfluenceEstimator
 
@@ -83,10 +94,11 @@ class SnapshotEstimator(InfluenceEstimator):
         self._executor = context.executor
         self._snapshots: list[Snapshot] = []
         self._current_seeds: tuple[int, ...] = ()
-        # Per-snapshot cached reachability of the current seed set:
-        # value r(S) for the naive strategy, blocked-vertex masks for "reduce".
-        self._base_counts: list[int] = []
+        # Per-snapshot blocked set B_i = reach_i(S) of the current seed set,
+        # and (naive only) the per-candidate charge for re-walking it:
+        # sum_i |B_i| vertices and sum_i of their live out-degrees in edges.
         self._blocked: list[np.ndarray] = []
+        self._rewalk_charge = (0, 0)
 
     @property
     def update_strategy(self) -> str:
@@ -121,7 +133,7 @@ class SnapshotEstimator(InfluenceEstimator):
             executor=self._executor,
         )
         self._current_seeds = ()
-        self._base_counts = [0] * len(self._snapshots)
+        self._rewalk_charge = (0, 0)
         self._blocked = [
             np.zeros(graph.num_vertices, dtype=bool) for _ in self._snapshots
         ]
@@ -132,34 +144,58 @@ class SnapshotEstimator(InfluenceEstimator):
 
     def estimate(self, current_seeds: tuple[int, ...], vertex: int) -> float:
         """Average marginal reachability of ``vertex`` w.r.t. ``current_seeds``."""
+        return float(self.estimate_many(current_seeds, (int(vertex),))[0])
+
+    def estimate_many(self, current_seeds: tuple[int, ...], vertices) -> np.ndarray:
+        """Average marginal reachability of every vertex in ``vertices``.
+
+        One :func:`~repro.diffusion.snapshots.candidate_reach` pass per stored
+        snapshot scores all candidates; each value equals :meth:`estimate`
+        bit for bit, and the estimate cost grows by the same totals.
+        ``current_seeds`` must be the seeds folded in by :meth:`update` (the
+        naive strategy scores against them; "reduce" ignores the argument).
+        """
         if not self.is_built:
             raise EstimatorStateError(
                 "estimator.build(graph, rng) must be called before estimate()"
             )
-        vertex = int(vertex)
-        if self._update_strategy == "reduce":
-            total = 0
-            for index, snapshot in enumerate(self._snapshots):
-                total += reachable_count(
-                    snapshot,
-                    (vertex,),
-                    cost=self._estimate_cost,
-                    blocked=self._blocked[index],
-                    scratch=self._reach_scratch,
-                )
-            return total / len(self._snapshots)
+        vertices = self._check_candidates(current_seeds, vertices)
+        total = np.zeros(vertices.shape[0], dtype=np.int64)
+        charge_vertices, charge_edges = self._rewalk_charge
+        examined_vertices = charge_vertices * vertices.shape[0]
+        examined_edges = charge_edges * vertices.shape[0]
+        for snapshot, blocked in zip(self._snapshots, self._blocked):
+            counts, edges = candidate_reach(snapshot, vertices, blocked=blocked)
+            total += counts
+            examined_vertices += int(counts.sum())
+            examined_edges += int(edges.sum())
+        self._estimate_cost.add_vertices(examined_vertices)
+        self._estimate_cost.add_edges(examined_edges)
+        return total / len(self._snapshots)
 
-        seeds = tuple(current_seeds) + (vertex,)
-        total_marginal = 0
-        for index, snapshot in enumerate(self._snapshots):
-            count = reachable_count(
-                snapshot, seeds, cost=self._estimate_cost, scratch=self._reach_scratch
-            )
-            total_marginal += count - self._base_counts[index]
-        return total_marginal / len(self._snapshots)
+    def _check_candidates(self, current_seeds, vertices) -> np.ndarray:
+        """Validate a candidate batch against the graph and the folded seeds."""
+        vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        num_vertices = self.graph.num_vertices
+        outside = (vertices < 0) | (vertices >= num_vertices)
+        if outside.any():
+            require_vertex(int(vertices[outside][0]), num_vertices, name="seed vertex")
+        if self._update_strategy == "naive":
+            seeds = tuple(int(v) for v in current_seeds)
+            if sorted(seeds) != sorted(self._current_seeds):
+                raise EstimatorStateError(
+                    f"naive Snapshot estimates are marginal to the updated seeds "
+                    f"{self._current_seeds}, got current_seeds={seeds}"
+                )
+            repeated = vertices[np.isin(vertices, seeds)] if seeds else vertices[:0]
+            if repeated.size:
+                raise InvalidSeedSetError(
+                    f"seed set contains duplicate vertices: {sorted(seeds + (int(repeated[0]),))}"
+                )
+        return vertices
 
     def update(self, chosen_vertex: int) -> None:
-        """Fold the chosen seed into the per-snapshot caches."""
+        """Fold the chosen seed into the per-snapshot blocked sets."""
         chosen_vertex = int(chosen_vertex)
         self._current_seeds = tuple(self._current_seeds) + (chosen_vertex,)
         if self._update_strategy == "reduce":
@@ -174,14 +210,14 @@ class SnapshotEstimator(InfluenceEstimator):
                     scratch=self._reach_scratch,
                 )
                 self._blocked[index][newly_reachable] = True
-        else:
-            for index, snapshot in enumerate(self._snapshots):
-                self._base_counts[index] = reachable_count(
-                    snapshot,
-                    self._current_seeds,
-                    cost=self._estimate_cost,
-                    scratch=self._reach_scratch,
-                )
+            return
+        charge_vertices = charge_edges = 0
+        for index, snapshot in enumerate(self._snapshots):
+            blocked = reachable_mask(snapshot, self._current_seeds, cost=self._estimate_cost)
+            self._blocked[index] = blocked
+            charge_vertices += int(blocked.sum())
+            charge_edges += int(np.diff(snapshot.indptr)[blocked].sum())
+        self._rewalk_charge = (charge_vertices, charge_edges)
 
     # ------------------------------------------------------------------ #
     # direct spread queries (outside the greedy protocol)

@@ -312,10 +312,131 @@ def single_source_reachability(
 
     This is the quadratic-in-the-worst-case computation the paper notes is the
     bottleneck of Snapshot's first greedy iteration.  Returned as an integer
-    array of length ``num_vertices``.
+    array of length ``num_vertices``; one :func:`candidate_reach` pass with
+    every vertex a candidate and nothing blocked, so ``cost`` receives the
+    same totals as one BFS per vertex.
     """
-    counts = np.zeros(snapshot.num_vertices, dtype=np.int64)
-    scratch = reachability_scratch(snapshot.num_vertices)
-    for vertex in range(snapshot.num_vertices):
-        counts[vertex] = reachable_count(snapshot, (vertex,), cost=cost, scratch=scratch)
+    counts, edges = candidate_reach(snapshot, np.arange(snapshot.num_vertices))
+    if cost is not None:
+        cost.add_vertices(int(counts.sum()))
+        cost.add_edges(int(edges.sum()))
     return counts
+
+
+#: Word budget of one :func:`candidate_reach` block: a block of candidates
+#: gets at most ``max(1, CANDIDATE_BLOCK_WORDS // num_vertices)`` ``uint64``
+#: words (64 candidate lanes each) per vertex row, so its lane matrix stays
+#: within 2 MB on any graph; all 1000 candidates of ``ba_d`` fit one block.
+CANDIDATE_BLOCK_WORDS = 1 << 18
+
+#: Bytes of unpacked lane bits counted at once when a block is tallied.
+_TALLY_CHUNK_BYTES = 1 << 16
+
+_ALL_LANES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+#: ``_BYTE_BITS[b]`` is bit ``b`` of a byte; lane ``j`` of a little-endian
+#: word row is bit ``j & 7`` of its byte ``j >> 3``.
+_BYTE_BITS = np.array([1 << bit for bit in range(8)], dtype=np.uint8)
+
+
+def candidate_reach(
+    snapshot: Snapshot,
+    candidates: np.ndarray,
+    *,
+    blocked: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-candidate reachability in one candidate-parallel pass.
+
+    Returns ``(counts, edges)``, two ``int64`` arrays aligned with
+    ``candidates``: ``counts[j]`` is ``|reach(candidates[j]) \\ blocked|`` and
+    ``edges[j]`` the live out-edges a BFS from ``candidates[j]`` examines —
+    exactly :func:`reachable_count` with ``blocked`` and the cost it records
+    (one vertex per reached vertex, its live out-degree in edges).  A blocked
+    candidate reaches nothing.
+
+    Lane ``j`` of a per-vertex ``uint64`` word row is candidate ``j``; blocked
+    rows start fully set, so one whole-frontier BFS per block of candidates
+    (see :data:`CANDIDATE_BLOCK_WORDS`) propagates every candidate at once
+    and never enters a blocked vertex.
+    """
+    candidates = np.asarray(candidates, dtype=np.int64)
+    counts = np.zeros(candidates.shape[0], dtype=np.int64)
+    edges = np.zeros(candidates.shape[0], dtype=np.int64)
+    block_lanes = 64 * max(1, CANDIDATE_BLOCK_WORDS // max(snapshot.num_vertices, 1))
+    for start in range(0, candidates.shape[0], block_lanes):
+        stop = min(start + block_lanes, candidates.shape[0])
+        _candidate_block(snapshot, candidates[start:stop], blocked,
+                         counts[start:stop], edges[start:stop])
+    return counts, edges
+
+
+def _candidate_block(
+    snapshot: Snapshot,
+    block: np.ndarray,
+    blocked: np.ndarray | None,
+    counts: np.ndarray,
+    edges: np.ndarray,
+) -> None:
+    """One lane-matrix BFS over a block of candidates, tallied into ``counts``/``edges``."""
+    indptr = snapshot.indptr
+    targets = snapshot.targets
+    num_lanes = block.shape[0]
+    words = (num_lanes + 63) >> 6
+    reach = np.zeros((snapshot.num_vertices, words), dtype="<u8")
+    if blocked is not None:
+        reach[blocked] = _ALL_LANES
+    # Level 0 hands each candidate its own lane bit.  Every level then ORs the
+    # incoming bits per head vertex, keeps the bits the head does not hold yet
+    # (a blocked head holds every lane) and carries them along its out-edges.
+    # The stable sort and ``^ _ALL_LANES`` (rather than the default sort and
+    # ``~``) reuse numpy loops a snapshot run already executes: each new loop
+    # family pages in 64-192 KB of numpy's code, which showed in peak RSS.
+    lanes = np.arange(num_lanes, dtype=np.int64)
+    heads = block
+    gained = np.zeros((num_lanes, words), dtype="<u8")
+    gained.view(np.uint8)[lanes, lanes >> 3] = _BYTE_BITS[lanes & 7]
+    while True:
+        gained &= reach[heads] ^ _ALL_LANES
+        hit = gained.any(axis=1)
+        heads, gained = heads[hit], gained[hit]
+        if heads.shape[0] == 0:
+            break
+        order = np.argsort(heads, kind="stable")
+        heads, gained = heads[order], gained[order]
+        first = np.empty(heads.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(heads[1:], heads[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        frontier = heads[starts]
+        # OR each head's run of rows together, one offset into the runs at a
+        # time (runs are as long as the head's in-degree from the frontier);
+        # about twice as fast as a 2-D bitwise_or.reduceat.
+        delta = gained[starts]
+        run_lengths = np.diff(starts, append=heads.shape[0])
+        for offset in range(1, int(run_lengths.max())):
+            longer = np.flatnonzero(run_lengths > offset)
+            delta[longer] |= gained[starts[longer] + offset]
+        reach[frontier] |= delta
+        edge_indices, degrees, total = frontier_edges(indptr, frontier)
+        if total == 0:
+            break
+        heads = targets[edge_indices]
+        gained = np.repeat(delta, degrees, axis=0)
+    # Every reached, unblocked vertex was expanded exactly once per lane, so a
+    # lane's vertex count is its bit total and its edge count the live
+    # out-degrees of its bits: the per-candidate BFS accounting.
+    if blocked is not None:
+        reach[blocked] = 0
+    touched = np.flatnonzero(reach.any(axis=1))
+    weights = np.ones((2, touched.shape[0]), dtype=np.int64)
+    weights[1] = indptr[touched + 1] - indptr[touched]
+    rows_per_chunk = max(1, _TALLY_CHUNK_BYTES // num_lanes)
+    for start in range(0, touched.shape[0], rows_per_chunk):
+        stop = start + rows_per_chunk
+        bits = np.unpackbits(
+            reach[touched[start:stop]].view(np.uint8), axis=1, count=num_lanes, bitorder="little"
+        )
+        # einsum accumulates the uint8 bits in int64 without an upcast copy.
+        tally = np.einsum("kr,rl->kl", weights[:, start:stop], bits)
+        counts += tally[0]
+        edges += tally[1]

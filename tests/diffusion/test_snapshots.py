@@ -8,6 +8,7 @@ import pytest
 from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.snapshots import (
+    candidate_reach,
     reachable_count,
     reachable_set,
     sample_snapshot,
@@ -112,3 +113,37 @@ class TestSingleSourceReachability:
         counts = single_source_reachability(snapshot)
         for vertex in (0, 7, 33):
             assert counts[vertex] == reachable_count(snapshot, (vertex,))
+
+
+class TestCandidateReach:
+    def _per_candidate(self, snapshot, candidates, blocked):
+        counts, edges = [], []
+        for vertex in candidates:
+            cost = TraversalCost()
+            counts.append(reachable_count(snapshot, (vertex,), cost=cost, blocked=blocked))
+            assert cost.vertices == counts[-1]
+            edges.append(cost.edges)
+        return counts, edges
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_one_bfs_per_candidate(self, karate_uc01, seed):
+        snapshot = sample_snapshot(karate_uc01, RandomSource(seed))
+        candidates = np.random.default_rng(seed).permutation(34)[:29]
+        blocked = np.zeros(34, dtype=bool)
+        blocked[[0, 33, int(candidates[3])]] = True
+        for mask in (None, blocked):
+            counts, edges = candidate_reach(snapshot, candidates, blocked=mask)
+            assert (counts.tolist(), edges.tolist()) == self._per_candidate(
+                snapshot, candidates.tolist(), mask
+            )
+
+    def test_blocked_and_repeated_candidates(self, path_graph, rng):
+        snapshot = sample_snapshot(path_graph, rng)
+        blocked = np.array([False, False, True, False])
+        counts, edges = candidate_reach(snapshot, [0, 2, 0, 3], blocked=blocked)
+        assert counts.tolist() == [2, 0, 2, 1]
+        assert edges.tolist() == [2, 0, 2, 0]
+
+    def test_no_candidates(self, path_graph, rng):
+        counts, edges = candidate_reach(sample_snapshot(path_graph, rng), [])
+        assert counts.shape == edges.shape == (0,)
